@@ -35,11 +35,10 @@ from .landmark import (
     OccludedRegion,
     SemanticAction,
     bbox_to_landmark,
-    classify_action,
     fit_logit,
     posterior_over_region,
 )
-from .metrics import directed_distance, image_similarity, improvement_ratio, score_pair
+from .metrics import directed_distance, improvement_ratio, score_pair
 from .perception import Obstacle, Pose2D, Scan, SceneGeometry, raycast_scan, standard_inverse_update, visibility_mask
 from .simulator import EpisodeLog, PedestrianBehavior, Scenario, ScenarioConfig, run_episode, sample_scenario, simulate_batch
 
@@ -71,13 +70,11 @@ __all__ = [
     "assign_actionlet",
     "bayes_cell_update",
     "bbox_to_landmark",
-    "classify_action",
     "directed_distance",
     "estimate_likelihoods",
     "extract_features",
     "fit_logit",
     "fuse_action",
-    "image_similarity",
     "improvement_ratio",
     "joint_map_probability",
     "kmeans_fit",

@@ -329,17 +329,6 @@ def estimate_likelihoods(labeled, spec: GridSpec, n_actions: int, alpha: float =
     return LikelihoodTable(spec, entries, sample_counts, alpha)
 
 
-def action_likelihood(table: LikelihoodTable, cell: int, occupied: int, action: int) -> float:
-    """Table lookup p(action | cell state), with bounds checking."""
-    if not (0 <= cell < table.spec.n_cells):
-        raise ValueError(f"cell {cell} outside grid with {table.spec.n_cells} cells")
-    if occupied not in (0, 1):
-        raise ValueError("occupancy state must be 0 or 1")
-    if not (0 <= action < table.n_actions):
-        raise ValueError(f"action {action} outside table with {table.n_actions} actions")
-    return float(table.entries[cell, action, occupied])
-
-
 def save_model_json(obj, path: str) -> None:
     """Write an ActionletModel or LikelihoodTable to a JSON file."""
     with open(path, "w") as fh:

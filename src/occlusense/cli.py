@@ -26,8 +26,6 @@ import numpy as np
 
 from . import __version__
 from .behavior import (
-    ActionletModel,
-    LikelihoodTable,
     assign_actionlet,
     estimate_likelihoods,
     extract_features,
@@ -40,7 +38,6 @@ from .errors import ConfigError, DataError
 from .grid import GridSpec, fuse_action, new_uniform_grid, threshold
 from .landmark import (
     CameraModel,
-    ClassifierThresholds,
     OccludedRegion,
     SemanticAction,
     action_from_label,
@@ -120,7 +117,6 @@ class PipelineConfig:
     logit_reg: float = 0.01
     logit_max_iters: int = 2000
     logit_tol: float = 1e-9
-    thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
     region_x: tuple[float, float] = (-8.0, 8.0)
     region_y: tuple[float, float] = (1.0, 25.0)
     region_step: float = 2.0
@@ -130,11 +126,7 @@ class PipelineConfig:
         return GridSpec(self.grid_width, self.grid_height, self.grid_resolution, (0.0, 0.0), self.grid_frame)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["scenario"] = dataclasses.asdict(self.scenario)
-        d["thresholds"] = dataclasses.asdict(self.thresholds)
-        d["camera_fallback"] = None if self.camera_fallback is None else dataclasses.asdict(self.camera_fallback)
-        return d
+        return dataclasses.asdict(self)
 
 
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -224,12 +216,6 @@ def _apply_key(cfg: PipelineConfig, scenario_kwargs: dict, camera: dict, key: st
         cfg.logit_max_iters = int(value)
     elif key == "logit.tol":
         cfg.logit_tol = float(value)
-    elif key == "logit.stopped_speed":
-        cfg.thresholds = dataclasses.replace(cfg.thresholds, stopped_speed=float(value))
-    elif key == "logit.accel":
-        cfg.thresholds = dataclasses.replace(cfg.thresholds, accel=float(value))
-    elif key == "logit.fast_speed":
-        cfg.thresholds = dataclasses.replace(cfg.thresholds, fast_speed=float(value))
     elif key in ("region.x_min", "region.x_max"):
         lo, hi = cfg.region_x
         cfg.region_x = (float(value), hi) if key.endswith("x_min") else (lo, float(value))
@@ -444,8 +430,7 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
     if not samples:
         raise DataError("no visible training samples in the training clips")
 
-    model = fit_logit(samples, reg=cfg.logit_reg, max_iters=cfg.logit_max_iters,
-                      tol=cfg.logit_tol, thresholds=cfg.thresholds)
+    model = fit_logit(samples, reg=cfg.logit_reg, max_iters=cfg.logit_max_iters, tol=cfg.logit_tol)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "logit.json"
@@ -482,6 +467,9 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             raise DataError(f"cannot load behavior models from {models_dir}: {exc}") from exc
         if not table.spec.layout_matches(cfg.grid_template()):
             raise DataError("likelihood table layout does not match the configured grid")
+        if model.k != table.n_actions:
+            raise DataError(f"actionlets.json has k={model.k} actionlets but likelihoods.json "
+                            f"has {table.n_actions} actions: the models do not belong together")
 
     template = cfg.grid_template()
     out = Path(cfg.out_dir)
@@ -500,10 +488,11 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
                 spec_t = anchored_spec_at(template, log, i)
                 truth = ground_truth_grid(log, t, template)
                 scan = raycast_scan(log.scene_at(i), log.ego_pose(i), cfg.n_beams, cfg.max_range)
-                occluded = visibility_mask(scan, spec_t)
-                mask = occluded if cfg.eval_region == "occluded" else None
-                if mask is not None and not mask.any():
-                    continue
+                mask = None
+                if cfg.eval_region == "occluded":
+                    mask = visibility_mask(scan, spec_t)
+                    if not mask.any():
+                        continue
                 base = standard_inverse_update(new_uniform_grid(spec_t), scan)
 
                 predictions = {}

@@ -8,7 +8,6 @@ over value-semantic data; updates return new grids.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -148,9 +147,6 @@ class OccupancyGrid:
         if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
             raise ValueError("occupancy probabilities must lie in [0, 1]")
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.spec, self.probs.copy())
-
 
 @dataclass
 class BinaryMap:
@@ -172,11 +168,14 @@ def new_uniform_grid(spec: GridSpec) -> OccupancyGrid:
     return OccupancyGrid(spec, np.full(spec.n_cells, UNIFORM_PRIOR))
 
 
-def bayes_cell_update(prior: float, lik_occupied: float, lik_free: float) -> float:
-    """Single-cell Bayes update from an observation likelihood pair.
+def bayes_cell_update(prior, lik_occupied, lik_free):
+    """Per-cell Bayes update from an observation likelihood pair.
+
+    Works elementwise on scalars or arrays of cells; each cell is updated
+    independently.
 
     Args:
-        prior: current occupancy probability of the cell, in [0, 1].
+        prior: current occupancy probability of each cell, in [0, 1].
         lik_occupied: likelihood of the observation given the cell occupied.
         lik_free: likelihood of the observation given the cell free.
 
@@ -186,38 +185,34 @@ def bayes_cell_update(prior: float, lik_occupied: float, lik_free: float) -> flo
 
     Raises:
         ValueError: on out-of-range inputs, or when both weighted
-            likelihoods vanish and the posterior is undefined.
+            likelihoods vanish and a cell's posterior is undefined.
     """
-    if not (0.0 <= prior <= 1.0):
+    prior = np.asarray(prior, dtype=float)
+    if not np.all((prior >= 0.0) & (prior <= 1.0)):
         raise ValueError(f"prior must lie in [0, 1], got {prior}")
-    if lik_occupied < 0.0 or lik_free < 0.0:
+    if np.any(np.asarray(lik_occupied) < 0.0) or np.any(np.asarray(lik_free) < 0.0):
         raise ValueError("likelihoods must be nonnegative")
     denom = lik_occupied * prior + lik_free * (1.0 - prior)
-    if denom < DIVISION_EPS:
+    if np.any(denom < DIVISION_EPS):
         raise ValueError(
-            "degenerate update: both weighted likelihoods are zero "
-            f"(prior={prior}, lik_occupied={lik_occupied}, lik_free={lik_free})"
+            f"degenerate update at cell {int(np.argmin(denom))}: both weighted likelihoods are zero"
         )
     return lik_occupied * prior / denom
+
 
 def fuse_action(grid: OccupancyGrid, table: "LikelihoodTable", action: int) -> OccupancyGrid:
     """Fuse one observed driver action into every cell of the grid.
 
-    Each cell is updated independently with the action-likelihood pair the
-    table holds for it, using the same quotient as
-    :func:`bayes_cell_update`.  The input grid is left untouched.
+    Each cell is updated independently by :func:`bayes_cell_update` with
+    the action-likelihood pair the table holds for it.  The input grid is
+    left untouched.
     """
     if not grid.spec.layout_matches(table.spec):
         raise SpecMismatchError(
             f"grid layout {grid.spec} does not match table layout {table.spec}"
         )
     lik_occ, lik_free = table.action_likelihood_arrays(action)
-    p = grid.probs
-    denom = lik_occ * p + lik_free * (1.0 - p)
-    if np.any(denom < DIVISION_EPS):
-        bad = int(np.argmin(denom))
-        raise ValueError(f"degenerate action update at cell {bad}: zero total likelihood")
-    return OccupancyGrid(grid.spec, lik_occ * p / denom)
+    return OccupancyGrid(grid.spec, bayes_cell_update(grid.probs, lik_occ, lik_free))
 
 
 def threshold(grid: OccupancyGrid, tau: float = DEFAULT_THRESHOLD) -> BinaryMap:
@@ -238,74 +233,3 @@ def joint_map_probability(grid: OccupancyGrid, cells: BinaryMap) -> float:
         raise SpecMismatchError("grid and realization layouts differ")
     terms = np.where(cells.cells == 1, grid.probs, 1.0 - grid.probs)
     return float(np.prod(terms))
-
-
-# ---------------------------------------------------------------------------
-# Serialization: CSV for exact round-trips, PGM for quick visual checks.
-# ---------------------------------------------------------------------------
-
-def grid_to_csv(grid: OccupancyGrid, path: str) -> None:
-    """Write probabilities as CSV, one line per grid row (row 0 first)."""
-    w = grid.spec.width_cells
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in range(grid.spec.height_cells):
-            writer.writerow([repr(float(v)) for v in grid.probs[row * w : (row + 1) * w]])
-
-
-def grid_from_csv(
-    path: str,
-    resolution: float = 1.0,
-    origin: tuple[float, float] = (0.0, 0.0),
-    frame: str = "world",
-) -> OccupancyGrid:
-    """Read a probability grid written by :func:`grid_to_csv`.
-
-    The CSV stores only cell values, so grid geometry is supplied by the
-    caller (defaults give a unit-resolution world-frame grid).
-    """
-    rows = _read_csv_rows(path)
-    spec = GridSpec(len(rows[0]), len(rows), resolution, origin, frame)
-    return OccupancyGrid(spec, np.array(rows, dtype=float).reshape(-1))
-
-
-def binary_map_to_csv(bmap: BinaryMap, path: str) -> None:
-    """Write a binary map as CSV of 0/1 integers, one line per grid row."""
-    w = bmap.spec.width_cells
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in range(bmap.spec.height_cells):
-            writer.writerow([int(v) for v in bmap.cells[row * w : (row + 1) * w]])
-
-
-def binary_map_from_csv(
-    path: str,
-    resolution: float = 1.0,
-    origin: tuple[float, float] = (0.0, 0.0),
-    frame: str = "world",
-) -> BinaryMap:
-    rows = _read_csv_rows(path)
-    spec = GridSpec(len(rows[0]), len(rows), resolution, origin, frame)
-    return BinaryMap(spec, np.array(rows, dtype=float).astype(np.int64).reshape(-1))
-
-
-def grid_to_pgm(grid: OccupancyGrid, path: str) -> None:
-    """Write an 8-bit ASCII PGM image of the grid (probability * 255, rounded)."""
-    w, h = grid.spec.width_cells, grid.spec.height_cells
-    levels = np.rint(grid.probs * 255.0).astype(int)
-    lines = ["P2", f"{w} {h}", "255"]
-    for row in range(h):
-        lines.append(" ".join(str(v) for v in levels[row * w : (row + 1) * w]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_csv_rows(path: str) -> list[list[float]]:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in line] for line in csv.reader(fh) if line]
-    if not rows:
-        raise ValueError(f"{path}: empty grid file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows in grid file")
-    return rows

@@ -13,13 +13,10 @@ scheme.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from .grid import GridSpec
 
 SCHEMA_VERSION = 1
 FEATURE_MAP_ID = "bias_x_y_range"
@@ -67,55 +64,6 @@ class LandmarkState:
         return np.array([self.x, self.y])
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Speed/acceleration cutoffs for rule-based action labeling."""
-
-    stopped_speed: float = 0.2
-    accel: float = 0.5
-    fast_speed: float = 4.0
-
-
-def classify_action(times, speeds, window: float = 1.0,
-                    thresholds: ClassifierThresholds = ClassifierThresholds()) -> SemanticAction:
-    """Label a speed profile with a semantic action.
-
-    Rules are applied in priority order on the trailing ``window`` seconds:
-    Stopped when the mean speed is below the stopped threshold, otherwise
-    Accelerating/Decelerating when the mean signed acceleration exceeds the
-    accel threshold in magnitude, otherwise MovingFast/MovingSlow by the
-    fast-speed cutoff.
-
-    Args:
-        times: sample timestamps, strictly increasing, seconds.
-        speeds: speed samples, m/s, same length as times.
-        window: trailing window length; must be at least 0.5 s and covered
-            by the profile.
-    """
-    times = np.asarray(times, dtype=float)
-    speeds = np.asarray(speeds, dtype=float)
-    if times.shape != speeds.shape or times.ndim != 1 or len(times) < 2:
-        raise ValueError("need matching 1D times and speeds with at least two samples")
-    if window < 0.5:
-        raise ValueError(f"window must be at least 0.5 s, got {window}")
-    if times[-1] - times[0] < window - 1e-9:
-        raise ValueError("profile shorter than the requested window")
-    sel = times >= times[-1] - window - 1e-9
-    t_sel, v_sel = times[sel], speeds[sel]
-    mean_speed = float(v_sel.mean())
-    mean_accel = float((v_sel[-1] - v_sel[0]) / (t_sel[-1] - t_sel[0]))
-
-    if mean_speed < thresholds.stopped_speed:
-        return SemanticAction.STOPPED
-    if mean_accel > thresholds.accel:
-        return SemanticAction.ACCELERATING
-    if mean_accel < -thresholds.accel:
-        return SemanticAction.DECELERATING
-    if mean_speed >= thresholds.fast_speed:
-        return SemanticAction.MOVING_FAST
-    return SemanticAction.MOVING_SLOW
-
-
 def position_features(xy: np.ndarray) -> np.ndarray:
     """Feature map [1, x, y, ||(x, y)||] applied row-wise to (m, 2) input."""
     xy = np.atleast_2d(np.asarray(xy, dtype=float))
@@ -129,7 +77,6 @@ class LogitModel:
 
     weights: np.ndarray
     reg: float
-    thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
     loglik_history: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -151,29 +98,17 @@ class LogitModel:
             "feature_map": FEATURE_MAP_ID,
             "weights": self.weights.tolist(),
             "reg": self.reg,
-            "thresholds": {
-                "stopped_speed": self.thresholds.stopped_speed,
-                "accel": self.thresholds.accel,
-                "fast_speed": self.thresholds.fast_speed,
-            },
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogitModel":
+        """Load a model document; keys other than the weights' are ignored,
+        so files that still carry a ``thresholds`` object load too."""
         if d.get("kind") != "logit_model":
             raise ValueError("not a logit model document")
         if d.get("feature_map") != FEATURE_MAP_ID:
             raise ValueError(f"unsupported feature map {d.get('feature_map')!r}")
-        th = d.get("thresholds", {})
-        return cls(
-            weights=np.array(d["weights"], dtype=float),
-            reg=float(d["reg"]),
-            thresholds=ClassifierThresholds(
-                stopped_speed=float(th.get("stopped_speed", 0.2)),
-                accel=float(th.get("accel", 0.5)),
-                fast_speed=float(th.get("fast_speed", 4.0)),
-            ),
-        )
+        return cls(weights=np.array(d["weights"], dtype=float), reg=float(d["reg"]))
 
 
 def save_logit_model(model: LogitModel, path: str) -> None:
@@ -230,8 +165,7 @@ def loglik_gradient(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg
     return (onehot - probs).T @ phi - reg * weights
 
 
-def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e-9,
-              thresholds: ClassifierThresholds = ClassifierThresholds()) -> LogitModel:
+def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e-9) -> LogitModel:
     """Fit the action model by gradient ascent with backtracking line search.
 
     The objective is concave; with ``reg > 0`` it is strictly concave and
@@ -282,13 +216,7 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
         history.append(val)
         if gain < tol * max(1.0, abs(val)):
             break
-    return LogitModel(W, reg, thresholds, history)
-
-
-def action_probability(model: LogitModel, state: LandmarkState | np.ndarray) -> np.ndarray:
-    """Distribution over the five actions at one position."""
-    xy = state.as_array() if isinstance(state, LandmarkState) else np.asarray(state, dtype=float)
-    return model.predict_proba(xy.reshape(1, 2))[0]
+    return LogitModel(W, reg, history)
 
 
 @dataclass(frozen=True)
@@ -316,16 +244,6 @@ class OccludedRegion:
         ys = np.arange(y_min, y_max + step / 2, step)
         gx, gy = np.meshgrid(xs, ys)
         return cls(np.column_stack((gx.ravel(), gy.ravel())))
-
-    @classmethod
-    def from_occluded_cells(cls, spec: GridSpec, occluded: np.ndarray) -> "OccludedRegion":
-        """Candidates at the centers of a visibility mask's occluded cells."""
-        occluded = np.asarray(occluded, dtype=bool)
-        if occluded.shape != (spec.n_cells,):
-            raise ValueError("mask shape does not match grid")
-        if not occluded.any():
-            raise ValueError("no occluded cells to build a region from")
-        return cls(spec.cell_centers()[occluded])
 
     def locate(self, xy, tol: float) -> int | None:
         """Index of the candidate within ``tol`` of a point, else None."""

@@ -57,21 +57,6 @@ def directed_distance(a: BinaryMap, b: BinaryMap, c: int, mask: np.ndarray | Non
     return float(diff.min(axis=1).mean())
 
 
-def image_similarity(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> float:
-    """Symmetric two-class map distance (lower is more similar).
-
-    Sum of the four directed terms d(a,b,0), d(a,b,1), d(b,a,0), d(b,a,1).
-    Identical maps score 0.0; the score is symmetric in its arguments
-    (fsum makes the total independent of term order).
-    """
-    return math.fsum((
-        directed_distance(a, b, 0, mask),
-        directed_distance(a, b, 1, mask),
-        directed_distance(b, a, 0, mask),
-        directed_distance(b, a, 1, mask),
-    ))
-
-
 @dataclass(frozen=True)
 class PairScore:
     """Similarity breakdown for one map pair: psi plus its four terms."""
@@ -82,14 +67,14 @@ class PairScore:
     d_ba_occ: float
     psi: float
 
-    def __post_init__(self) -> None:
-        total = math.fsum((self.d_ab_free, self.d_ab_occ, self.d_ba_free, self.d_ba_occ))
-        if not math.isclose(total, self.psi, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("psi must equal the sum of the four directed terms")
-
 
 def score_pair(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> PairScore:
-    """Compute :class:`PairScore` for two maps."""
+    """Symmetric two-class map distance psi (lower is more similar).
+
+    psi is the sum of the four directed terms d(a,b,0), d(a,b,1), d(b,a,0)
+    and d(b,a,1).  Identical maps score 0.0; the score is symmetric in its
+    arguments (fsum makes the total independent of term order).
+    """
     d_ab_free = directed_distance(a, b, 0, mask)
     d_ab_occ = directed_distance(a, b, 1, mask)
     d_ba_free = directed_distance(b, a, 0, mask)

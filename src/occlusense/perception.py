@@ -8,13 +8,12 @@ cells are updated with a fixed inverse sensor model.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, OccupancyGrid
+from .grid import GridSpec, OccupancyGrid, bayes_cell_update
 
 #: Inverse sensor model: posterior assigned from a 0.5 prior for a cell the
 #: beam terminates in, and for a cell the beam passes through.
@@ -115,14 +114,6 @@ class Scan:
             raise ValueError("max_range must be positive")
         if np.any(self.ranges < 0.0) or np.any(self.ranges > self.max_range + 1e-9):
             raise ValueError("ranges must lie in [0, max_range]")
-
-    @property
-    def beams(self) -> list[tuple[float, float, bool]]:
-        """Beam tuples (bearing, range, hit) for iteration and dumps."""
-        return [
-            (float(b), float(r), bool(h))
-            for b, r, h in zip(self.bearings, self.ranges, self.hits)
-        ]
 
 
 def _ray_rectangle_t(origin: np.ndarray, directions: np.ndarray, rect: Obstacle) -> np.ndarray:
@@ -228,19 +219,27 @@ def _cell_beam_geometry(scan: Scan, spec: GridSpec):
     return cell_range, scan.ranges[nearest], scan.hits[nearest], outside
 
 
-def visibility_mask(scan: Scan, spec: GridSpec) -> np.ndarray:
-    """Boolean occluded-mask over flat cell indices (True = occluded).
+def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The occlusion rule: (occluded, hit) masks over flat cell indices.
 
     A cell is occluded when the beam nearest its bearing terminated on an
-    obstacle more than half a cell nearer than the cell center (the cell
-    holding the struck surface itself counts as observed), when it lies
-    beyond the sensor's maximum range, or when no beam covers its bearing.
+    obstacle more than half a cell nearer than the cell center, when it
+    lies beyond the sensor's maximum range, or when no beam covers its
+    bearing.  A cell is hit when its nearest beam terminated within half a
+    cell of its center (the cell holding the struck surface itself counts
+    as observed).
     """
     cell_range, beam_range, beam_hit, outside = _cell_beam_geometry(scan, spec)
     half = spec.resolution / 2.0
     behind_hit = beam_hit & (cell_range > beam_range + half)
     beyond_range = ~beam_hit & (cell_range > scan.max_range)
-    return behind_hit | beyond_range | outside
+    hit = beam_hit & (np.abs(cell_range - beam_range) <= half)
+    return behind_hit | beyond_range | outside, hit
+
+
+def visibility_mask(scan: Scan, spec: GridSpec) -> np.ndarray:
+    """Boolean occluded-mask over flat cell indices (True = occluded)."""
+    return _classify_cells(scan, spec)[0]
 
 
 def standard_inverse_update(
@@ -257,24 +256,9 @@ def standard_inverse_update(
     The update constants are the posterior a 0.5-prior cell would take,
     i.e. the cell is updated with likelihood pair (p, 1 - p).
     """
-    cell_range, beam_range, beam_hit, outside = _cell_beam_geometry(scan, spec := grid.spec)
-    half = spec.resolution / 2.0
-    occluded = (beam_hit & (cell_range > beam_range + half)) | (~beam_hit & (cell_range > scan.max_range)) | outside
-    hit_cell = beam_hit & (np.abs(cell_range - beam_range) <= half)
-    free_cell = ~occluded & ~hit_cell
-
+    occluded, hit = _classify_cells(scan, grid.spec)
+    free = ~occluded & ~hit
     p = grid.probs.copy()
-    for mask, lik in ((free_cell, p_free), (hit_cell, p_occ)):
-        prior = p[mask]
-        denom = lik * prior + (1.0 - lik) * (1.0 - prior)
-        p[mask] = lik * prior / denom
-    return OccupancyGrid(spec, p)
-
-
-def scan_to_csv(scan: Scan, path: str) -> None:
-    """Dump beams as CSV rows (bearing, range, hit) for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bearing", "range", "hit"])
-        for bearing, rng, hit in scan.beams:
-            writer.writerow([repr(bearing), repr(rng), int(hit)])
+    p[free] = bayes_cell_update(p[free], p_free, 1.0 - p_free)
+    p[hit] = bayes_cell_update(p[hit], p_occ, 1.0 - p_occ)
+    return OccupancyGrid(grid.spec, p)

@@ -134,6 +134,11 @@ class Scenario:
     noise_seed: int
     config: ScenarioConfig
 
+    @property
+    def n_frames(self) -> int:
+        """Frames the episode logs: both ends of its duration at the log rate."""
+        return int(round(self.duration * self.config.log_rate)) + 1
+
     def to_dict(self) -> dict:
         return {
             "d0": self.d0,
@@ -214,9 +219,6 @@ class EpisodeLog:
     def ego_pose(self, frame: int) -> Pose2D:
         return Pose2D(float(self.ego_x[frame]), self.ego_y, 0.0)
 
-    def occ_pose(self, frame: int) -> Pose2D:
-        return Pose2D(float(self.occ_x[frame]), 0.0, 0.0)
-
     def scene_at(self, frame: int) -> SceneGeometry:
         """Obstacles visible to the ego at one frame (occluder, pedestrian)."""
         cfg = self.config
@@ -242,7 +244,7 @@ def run_episode(scenario: Scenario) -> EpisodeLog:
     """Integrate one episode deterministically from its noise seed."""
     cfg = scenario.config
     dt = 1.0 / cfg.log_rate
-    n = int(round(scenario.duration * cfg.log_rate)) + 1
+    n = scenario.n_frames
     rng = np.random.default_rng(scenario.noise_seed)
 
     half_len = cfg.occluder_length / 2.0
@@ -451,7 +453,12 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
 
 
 def read_episodes(path: str) -> tuple[ScenarioConfig, list[EpisodeLog]]:
-    """Read a dataset written by :func:`write_episodes`."""
+    """Read a dataset written by :func:`write_episodes`.
+
+    A dataset must hold the header's ``n_episodes`` episodes, indexed 0 to
+    n - 1 in order, each with the frame count its duration implies at the
+    log rate, so a file cut at a line boundary is rejected.
+    """
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -474,9 +481,10 @@ def read_episodes(path: str) -> tuple[ScenarioConfig, list[EpisodeLog]]:
 
     def flush() -> None:
         if current is not None:
-            if not frames:
-                raise DataError(f"{path}: episode {current['index']} has no frames")
-            episodes.append(_log_from_records(config, current, frames))
+            if current.get("index") != len(episodes):
+                raise DataError(f"{path}: episode index {current.get('index')!r} where "
+                                f"{len(episodes)} was expected")
+            episodes.append(_log_from_records(path, config, current, frames))
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -494,6 +502,9 @@ def read_episodes(path: str) -> tuple[ScenarioConfig, list[EpisodeLog]]:
         else:
             raise DataError(f"{path}:{lineno}: unknown record type {kind!r}")
     flush()
+    if len(episodes) != header.get("n_episodes"):
+        raise DataError(f"{path}: {len(episodes)} episodes, but the header declares "
+                        f"{header.get('n_episodes')!r}")
     return config, episodes
 
 
@@ -515,7 +526,7 @@ def _config_kwargs(d: dict) -> dict:
     return kwargs
 
 
-def _log_from_records(config: ScenarioConfig, episode: dict, frames: list[dict]) -> EpisodeLog:
+def _log_from_records(path: str, config: ScenarioConfig, episode: dict, frames: list[dict]) -> EpisodeLog:
     try:
         sc = episode["scenario"]
         scenario = Scenario(
@@ -530,6 +541,9 @@ def _log_from_records(config: ScenarioConfig, episode: dict, frames: list[dict])
             config=config,
         )
         n = len(frames)
+        if n != scenario.n_frames:
+            raise DataError(f"{path}: episode {episode['index']} has {n} frames; "
+                            f"its duration needs {scenario.n_frames}")
         t = np.array([f["t"] for f in frames], dtype=float)
         ego = np.array([f["ego"] for f in frames], dtype=float)
         occ = np.array([f["occ"] for f in frames], dtype=float)
@@ -541,7 +555,7 @@ def _log_from_records(config: ScenarioConfig, episode: dict, frames: list[dict])
                 ped_y[i] = float(f["ped"][1])
                 ped_speed[i] = float(f["ped"][2])
     except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise DataError(f"malformed episode record: {exc}") from exc
+        raise DataError(f"{path}: malformed episode record: {exc}") from exc
     return EpisodeLog(
         t=t,
         ego_x=ego[:, 0],

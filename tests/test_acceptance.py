@@ -24,7 +24,7 @@ from occlusense.behavior import FEATURE_DIM, kmeans_fit
 from occlusense.cli import main
 from occlusense.grid import BinaryMap, GridSpec, OccupancyGrid, fuse_action
 from occlusense.landmark import fit_logit, loglik_gradient, regularized_loglik
-from occlusense.metrics import image_similarity
+from occlusense.metrics import score_pair
 from occlusense.perception import raycast_scan, visibility_mask
 
 from oracles import (
@@ -90,14 +90,14 @@ def test_criterion_2_similarity_matches_brute_force():
             spec = GridSpec(w, h, 1.0, (0.0, 0.0), "world")
             a = BinaryMap(spec, rng.integers(0, 2, w * h))
             b = BinaryMap(spec, rng.integers(0, 2, w * h))
-            psi = image_similarity(a, b)
+            psi = score_pair(a, b).psi
             assert psi == brute_force_psi(a, b)
-            assert psi == image_similarity(b, a)
-            assert image_similarity(a, a) == 0.0
+            assert psi == score_pair(b, a).psi
+            assert score_pair(a, a).psi == 0.0
 
         # Hand-checked 1x2 case: each directed term walks one cell.
         spec = GridSpec(2, 1, 1.0, (0.0, 0.0), "world")
-        assert image_similarity(BinaryMap(spec, [1, 0]), BinaryMap(spec, [0, 1])) == 4.0
+        assert score_pair(BinaryMap(spec, [1, 0]), BinaryMap(spec, [0, 1])).psi == 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from occlusense.behavior import (
     ActionletModel,
     FeatureWindow,
     LikelihoodTable,
-    action_likelihood,
     assign_actionlet,
     estimate_likelihoods,
     extract_features,
@@ -200,10 +199,11 @@ def one_cell_pairs(n_occ_a0=10, n_occ_a1=8):
 def test_laplace_smoothing_hand_case():
     spec, pairs = one_cell_pairs()
     table = estimate_likelihoods(pairs, spec, n_actions=2, alpha=1.0)
-    assert action_likelihood(table, 0, 1, 0) == pytest.approx(11.0 / 20.0)
-    assert action_likelihood(table, 0, 1, 1) == pytest.approx(9.0 / 20.0)
+    # entries[cell, action, occupancy]
+    assert table.entries[0, 0, 1] == pytest.approx(11.0 / 20.0)
+    assert table.entries[0, 1, 1] == pytest.approx(9.0 / 20.0)
     # the free state was never observed: smoothing alone -> uniform
-    assert action_likelihood(table, 0, 0, 0) == pytest.approx(0.5)
+    assert table.entries[0, 0, 0] == pytest.approx(0.5)
     table.validate()
     assert table.sample_counts[0, 1] == 18
     assert table.sample_counts[0, 0] == 0
@@ -214,25 +214,21 @@ def test_alpha_zero_gives_exact_frequencies():
     occ = BinaryMap(spec, np.array([1], dtype=np.int8))
     pairs = [(0, occ)] * 4 + [(1, occ)] * 1
     table = estimate_likelihoods(pairs, spec, n_actions=2, alpha=0.0)
-    assert action_likelihood(table, 0, 1, 0) == 0.8
-    assert action_likelihood(table, 0, 1, 1) == 0.2
+    assert table.entries[0, 0, 1] == 0.8
+    assert table.entries[0, 1, 1] == 0.2
     # unobserved state falls back to uniform rather than 0/0
-    assert action_likelihood(table, 0, 0, 0) == 0.5
+    assert table.entries[0, 0, 0] == 0.5
 
 
 def test_likelihood_arrays_and_bounds():
     spec, pairs = one_cell_pairs()
     table = estimate_likelihoods(pairs, spec, n_actions=3)
     lik_occ, lik_free = table.action_likelihood_arrays(0)
-    assert lik_occ[0] == action_likelihood(table, 0, 1, 0)
-    assert lik_free[0] == action_likelihood(table, 0, 0, 0)
+    assert lik_occ[0] == table.entries[0, 0, 1]
+    assert lik_free[0] == table.entries[0, 0, 0]
     np.testing.assert_allclose(table.entries.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
         table.action_likelihood_arrays(3)
-    with pytest.raises(ValueError):
-        action_likelihood(table, 1, 1, 0)
-    with pytest.raises(ValueError):
-        action_likelihood(table, 0, 2, 0)
 
 
 def test_estimation_input_validation():

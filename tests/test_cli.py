@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
 from occlusense.landmark import LogitModel, save_logit_model
@@ -31,6 +32,15 @@ def manifest(out: Path, command: str) -> dict:
 def write_jsonl(path: Path, records) -> Path:
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    missing = [name for name in occlusense.__all__ if not hasattr(occlusense, name)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +66,6 @@ def test_config_mapping_applies_values():
         "sim.d0_range": "30, 40",
         "eval.methods": "standard, truth",
         "eval.region": "occluded",
-        "logit.stopped_speed": "0.3",
         "region.step": "1.0",
     })
     assert cfg.mode == "landmark"
@@ -65,7 +74,6 @@ def test_config_mapping_applies_values():
     assert cfg.scenario.d0_range == (30.0, 40.0)
     assert cfg.eval_methods == ("standard", "truth")
     assert cfg.eval_region == "occluded"
-    assert cfg.thresholds.stopped_speed == 0.3
     assert cfg.region_step == 1.0
 
 
@@ -75,6 +83,9 @@ def test_config_mapping_applies_values():
     {"camera.zoom": "2"},
     {"mode": "sideways"},
     {"eval.methods": "standard, psychic"},
+    {"logit.stopped_speed": "0.3"},
+    {"logit.accel": "0.5"},
+    {"logit.fast_speed": "4.0"},
 ])
 def test_config_mapping_rejects_unknown(mapping):
     with pytest.raises(ConfigError):
@@ -279,6 +290,32 @@ def test_eval_unreadable_models_exit_2(grid_run, tmp_path):
     out = tmp_path / "eval"
     assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(empty),
                  "--seed", "11", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("extra_actionlets", [1, -1])
+def test_eval_rejects_models_that_do_not_belong_together(grid_run, tmp_path, extra_actionlets):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "likelihoods.json").write_bytes((grid_run / "likelihoods.json").read_bytes())
+    doc = json.loads((grid_run / "actionlets.json").read_text())
+    centroids = doc["centroids"]
+    doc["centroids"] = centroids + centroids[:1] if extra_actionlets > 0 else centroids[:-1]
+    doc["k"] += extra_actionlets
+    (models / "actionlets.json").write_text(json.dumps(doc))
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(models),
+                 "--seed", "11", "--out", str(out)]) == 2
+    assert f"k={doc['k']}" in manifest(out, "eval")["error"]
+
+
+def test_truncated_dataset_exits_2(grid_run, tmp_path):
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    truncated = tmp_path / "dataset.jsonl"
+    truncated.write_text("\n".join(lines[:-1]) + "\n")
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(truncated), "--models", str(grid_run),
+                 "--seed", "11", "--out", str(out)]) == 2
+    assert "frames" in manifest(out, "eval")["error"]
 
 
 def test_eval_internal_error_exits_3(grid_run, tmp_path):

@@ -9,12 +9,7 @@ from occlusense.grid import (
     GridSpec,
     OccupancyGrid,
     bayes_cell_update,
-    binary_map_from_csv,
-    binary_map_to_csv,
     fuse_action,
-    grid_from_csv,
-    grid_to_csv,
-    grid_to_pgm,
     joint_map_probability,
     new_uniform_grid,
     threshold,
@@ -98,6 +93,18 @@ def test_bayes_rejects_out_of_range():
         bayes_cell_update(1.2, 0.5, 0.5)
     with pytest.raises(ValueError):
         bayes_cell_update(0.5, -0.1, 0.5)
+
+
+def test_bayes_works_elementwise_on_arrays():
+    prior = np.array([0.5, 1.0, 0.25])
+    lik_occ = np.array([0.6, 0.3, 0.9])
+    lik_free = np.array([0.2, 0.9, 0.1])
+    posterior = bayes_cell_update(prior, lik_occ, lik_free)
+    assert posterior.tolist() == [bayes_cell_update(*args) for args in zip(prior, lik_occ, lik_free)]
+    with pytest.raises(ValueError, match="cell 1"):
+        bayes_cell_update(prior, np.array([0.6, 0.0, 0.9]), lik_free)
+    with pytest.raises(ValueError):
+        bayes_cell_update(np.array([0.5, -0.1]), 0.5, 0.5)
 
 
 @given(prior=st.floats(0.01, 0.99), lik_occ=st.floats(0.01, 1.0), lik_free=st.floats(0.01, 1.0))
@@ -221,40 +228,6 @@ def test_joint_probabilities_sum_to_one(seed_bits):
         for m in range(2**6)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def test_grid_csv_round_trip(tmp_path):
-    spec = GridSpec(3, 2, 0.5, (1.0, 2.0), "world")
-    grid = OccupancyGrid(spec, np.random.default_rng(6).uniform(0, 1, 6))
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, str(path))
-    back = grid_from_csv(str(path), resolution=0.5, origin=(1.0, 2.0), frame="world")
-    assert back.spec == spec
-    np.testing.assert_array_equal(back.probs, grid.probs)  # repr round-trips exactly
-
-
-def test_binary_map_csv_round_trip(tmp_path):
-    spec = GridSpec(4, 2)
-    bmap = BinaryMap(spec, [0, 1, 1, 0, 1, 0, 0, 1])
-    path = tmp_path / "map.csv"
-    binary_map_to_csv(bmap, str(path))
-    back = binary_map_from_csv(str(path))
-    np.testing.assert_array_equal(back.cells, bmap.cells)
-
-
-def test_pgm_dump(tmp_path):
-    spec = GridSpec(2, 2)
-    grid = OccupancyGrid(spec, np.array([0.0, 0.5, 0.75, 1.0]))
-    path = tmp_path / "grid.pgm"
-    grid_to_pgm(grid, str(path))
-    lines = path.read_text().split()
-    assert lines[0] == "P2"
-    assert lines[1:4] == ["2", "2", "255"]
-    assert lines[4:] == ["0", "128", "191", "255"]
 
 
 def test_occupancy_grid_validates_range():

@@ -1,18 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from occlusense.landmark import (
     CameraModel,
-    ClassifierThresholds,
-    LandmarkState,
     LogitModel,
     OccludedRegion,
     SemanticAction,
     action_from_label,
-    action_probability,
     bbox_to_landmark,
-    classify_action,
     fit_logit,
     load_logit_model,
     loglik_gradient,
@@ -25,58 +23,9 @@ from occlusense.landmark import (
 N_ACTIONS, N_FEATURES = 5, 4
 
 
-def profile(fn, duration=2.0, rate=20.0):
-    t = np.arange(0.0, duration + 1e-9, 1.0 / rate)
-    return t, np.maximum(0.0, fn(t))
-
-
 # ---------------------------------------------------------------------------
-# rule-based labeling
+# action labels
 # ---------------------------------------------------------------------------
-
-def test_classify_hand_cases():
-    t, v = profile(lambda t: np.full_like(t, 6.0))
-    assert classify_action(t, v) is SemanticAction.MOVING_FAST
-    t, v = profile(lambda t: np.full_like(t, 2.0))
-    assert classify_action(t, v) is SemanticAction.MOVING_SLOW
-    t, v = profile(lambda t: np.zeros_like(t))
-    assert classify_action(t, v) is SemanticAction.STOPPED
-    t, v = profile(lambda t: 5.0 - 1.5 * t)
-    assert classify_action(t, v, window=2.0) is SemanticAction.DECELERATING
-    t, v = profile(lambda t: 0.5 + 2.5 * t, duration=1.0)
-    assert classify_action(t, v) is SemanticAction.ACCELERATING
-
-
-def test_stopped_takes_priority_over_deceleration():
-    times = np.array([0.0, 0.4, 1.0])
-    speeds = np.array([0.55, 0.0, 0.0])
-    # mean speed 0.183 < 0.2 while the window's mean accel is -0.55
-    assert classify_action(times, speeds) is SemanticAction.STOPPED
-
-
-def test_classify_uses_trailing_window_only():
-    # fast early, braking hard in the last second
-    t, v = profile(lambda t: np.where(t < 1.0, 6.0, 6.0 - 2.0 * (t - 1.0)))
-    assert classify_action(t, v, window=1.0) is SemanticAction.DECELERATING
-
-
-def test_classify_threshold_overrides():
-    t, v = profile(lambda t: np.full_like(t, 2.0))
-    loose = ClassifierThresholds(fast_speed=1.5)
-    assert classify_action(t, v, thresholds=loose) is SemanticAction.MOVING_FAST
-
-
-def test_classify_validation():
-    t, v = profile(lambda t: np.full_like(t, 1.0), duration=2.0)
-    with pytest.raises(ValueError):
-        classify_action(t, v, window=0.3)
-    with pytest.raises(ValueError):
-        classify_action(t, v, window=5.0)
-    with pytest.raises(ValueError):
-        classify_action(t[:5], v[:4])
-    with pytest.raises(ValueError):
-        classify_action([0.0], [1.0])
-
 
 def test_action_labels_round_trip():
     for action in SemanticAction:
@@ -137,8 +86,7 @@ def test_fit_reaches_scipy_optimum():
     assert model.loglik_history[-1] <= -res.fun + 1e-6  # never exceeds the optimum
 
     # the decision signal is strong on either side of the boundary
-    p_near = action_probability(model, LandmarkState(0.0, 10.0))
-    p_far = action_probability(model, LandmarkState(10.0, 10.0))
+    p_near, p_far = model.predict_proba(np.array([[0.0, 10.0], [10.0, 10.0]]))
     assert p_near[SemanticAction.STOPPED.value] > 0.9
     assert p_far[SemanticAction.STOPPED.value] < 0.1
 
@@ -244,20 +192,6 @@ def test_region_from_grid_lattice():
         OccludedRegion(np.zeros((0, 2)))
 
 
-def test_region_from_occluded_cells():
-    from occlusense.grid import GridSpec
-
-    spec = GridSpec(2, 2, 1.0, origin=(10.0, 0.0), frame="world")
-    mask = np.array([False, True, False, False])
-    region = OccludedRegion.from_occluded_cells(spec, mask)
-    assert region.n == 1
-    np.testing.assert_allclose(region.candidates[0], spec.cell_center(1, 0))
-    with pytest.raises(ValueError):
-        OccludedRegion.from_occluded_cells(spec, np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError):
-        OccludedRegion.from_occluded_cells(spec, np.zeros(3, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # camera back-projection
 # ---------------------------------------------------------------------------
@@ -311,15 +245,23 @@ def test_covariance_psd_and_depth_quadratic():
 
 def test_logit_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    model = LogitModel(rng.normal(size=(N_ACTIONS, N_FEATURES)), reg=0.02,
-                       thresholds=ClassifierThresholds(stopped_speed=0.3))
+    model = LogitModel(rng.normal(size=(N_ACTIONS, N_FEATURES)), reg=0.02)
     path = tmp_path / "logit.json"
     save_logit_model(model, str(path))
+    assert set(json.loads(path.read_text())) == {"schema_version", "kind", "feature_map", "weights", "reg"}
     loaded = load_logit_model(str(path))
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.reg == 0.02
-    assert loaded.thresholds.stopped_speed == 0.3
-    assert loaded.thresholds.fast_speed == 4.0
+
+
+def test_logit_loader_accepts_files_with_thresholds(tmp_path):
+    doc = LogitModel(np.ones((N_ACTIONS, N_FEATURES)), reg=0.01).to_dict()
+    doc["thresholds"] = {"accel": 0.5, "fast_speed": 4.0, "stopped_speed": 0.2}
+    path = tmp_path / "logit.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_logit_model(str(path))
+    assert np.array_equal(loaded.weights, np.ones((N_ACTIONS, N_FEATURES)))
+    assert loaded.reg == 0.01
 
 
 def test_logit_loader_rejects_other_documents(tmp_path):

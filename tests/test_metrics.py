@@ -9,13 +9,16 @@ from occlusense.grid import BinaryMap, GridSpec
 from occlusense.metrics import (
     aggregate_similarity,
     directed_distance,
-    image_similarity,
     improvement_ratio,
     mean_and_se,
     posterior_mass_at_truth,
     score_pair,
 )
 from oracles import brute_force_directed, brute_force_psi
+
+
+def psi(a, b):
+    return score_pair(a, b).psi
 
 
 def bmap(spec, bits):
@@ -73,7 +76,7 @@ def test_matches_brute_force_oracle():
 
 
 # ---------------------------------------------------------------------------
-# image_similarity
+# psi (score_pair)
 # ---------------------------------------------------------------------------
 
 def test_psi_1x2_hand_case():
@@ -81,7 +84,7 @@ def test_psi_1x2_hand_case():
     a = bmap(spec, [1, 0])
     b = bmap(spec, [0, 1])
     # all four directed terms are 1.0
-    assert image_similarity(a, b) == 4.0
+    assert psi(a, b) == 4.0
 
 
 def test_psi_symmetry_and_identity_random():
@@ -90,9 +93,9 @@ def test_psi_symmetry_and_identity_random():
         spec = GridSpec(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         a = bmap(spec, rng.integers(0, 2, spec.n_cells))
         b = bmap(spec, rng.integers(0, 2, spec.n_cells))
-        assert image_similarity(a, b) == image_similarity(b, a)
-        assert image_similarity(a, a) == 0.0
-        assert image_similarity(a, b) == brute_force_psi(a, b)
+        assert psi(a, b) == psi(b, a)
+        assert psi(a, a) == 0.0
+        assert psi(a, b) == brute_force_psi(a, b)
 
 
 @settings(max_examples=40)
@@ -101,9 +104,9 @@ def test_psi_symmetry_and_identity_random():
 def test_psi_nonnegative_symmetric(abits, bbits):
     spec = GridSpec(3, 2)
     a, b = bmap(spec, abits), bmap(spec, bbits)
-    psi = image_similarity(a, b)
-    assert psi >= 0.0
-    assert psi == image_similarity(b, a)
+    score = psi(a, b)
+    assert score >= 0.0
+    assert score == psi(b, a)
 
 
 def test_score_pair_components_sum():
@@ -113,7 +116,7 @@ def test_score_pair_components_sum():
     b = bmap(spec, rng.integers(0, 2, 6))
     s = score_pair(a, b)
     assert s.psi == math.fsum((s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ))
-    assert s.psi == image_similarity(a, b)
+    assert s.psi == brute_force_psi(a, b)
 
 
 def test_masked_scoring_restricts_cells():

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from occlusense.perception import (
     Scan,
     SceneGeometry,
     raycast_scan,
-    scan_to_csv,
     standard_inverse_update,
     visibility_mask,
     wrap_angle,
@@ -104,7 +102,7 @@ def test_raycast_matches_independent_sampler():
 
 
 # ---------------------------------------------------------------------------
-# scan validation / dump
+# scan validation
 # ---------------------------------------------------------------------------
 
 def test_scan_validation_errors():
@@ -126,21 +124,6 @@ def test_scan_validation_errors():
         Scan(ORIGIN, b, np.array([1.0, 2.0, 6.0]), h, 5.0)
     with pytest.raises(ValueError):
         Scan(ORIGIN, b, r, h, 0.0)
-
-
-def test_scan_csv_round_trip(tmp_path):
-    scene = SceneGeometry([unit_square(5.0, 0.0)])
-    scan = raycast_scan(scene, ORIGIN, n_beams=16, max_range=20.0)
-    path = tmp_path / "scan.csv"
-    scan_to_csv(scan, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["bearing", "range", "hit"]
-    assert len(rows) == 17
-    for row, (bearing, rng, hit) in zip(rows[1:], scan.beams):
-        assert float(row[0]) == bearing
-        assert float(row[1]) == rng
-        assert int(row[2]) == int(hit)
 
 
 # ---------------------------------------------------------------------------

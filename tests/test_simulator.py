@@ -299,6 +299,40 @@ def test_read_rejects_frame_before_episode(tmp_path):
         read_episodes(str(path))
 
 
+def write_dataset(tmp_path, n):
+    """A dataset of n default episodes and its lines."""
+    cfg = ScenarioConfig()
+    path = tmp_path / "episodes.jsonl"
+    write_episodes(str(path), batch(n, seed=1, config=cfg), cfg, seed=1, n_episodes=n)
+    return path, path.read_text().splitlines()
+
+
+def episode_starts(lines):
+    return [i for i, line in enumerate(lines) if '"type":"episode"' in line]
+
+
+def test_read_rejects_dataset_cut_after_a_whole_episode(tmp_path):
+    path, lines = write_dataset(tmp_path, 3)
+    path.write_text("\n".join(lines[:episode_starts(lines)[2]]) + "\n")
+    with pytest.raises(DataError, match="header declares 3"):
+        read_episodes(str(path))
+
+
+def test_read_rejects_dataset_cut_inside_an_episode(tmp_path):
+    path, lines = write_dataset(tmp_path, 2)
+    path.write_text("\n".join(lines[:-5]) + "\n")
+    with pytest.raises(DataError, match="episode 1 has"):
+        read_episodes(str(path))
+
+
+def test_read_rejects_episodes_out_of_order(tmp_path):
+    path, lines = write_dataset(tmp_path, 2)
+    first, second = episode_starts(lines)
+    path.write_text("\n".join([lines[0]] + lines[second:] + lines[first:second]) + "\n")
+    with pytest.raises(DataError, match="index 1"):
+        read_episodes(str(path))
+
+
 def test_read_rejects_episode_without_frames(tmp_path):
     cfg = ScenarioConfig()
     path = tmp_path / "episodes.jsonl"
