@@ -38,7 +38,7 @@ from .landmark import (
     fit_logit,
     posterior_over_region,
 )
-from .metrics import directed_distance, improvement_ratio, score_pair
+from .metrics import improvement_ratio, score_pair
 from .perception import Obstacle, Pose2D, Scan, SceneGeometry, raycast_scan, standard_inverse_update, visibility_mask
 from .simulator import EpisodeLog, PedestrianBehavior, Scenario, ScenarioConfig, run_episode, sample_scenario, simulate_batch
 
@@ -70,7 +70,6 @@ __all__ = [
     "assign_actionlet",
     "bayes_cell_update",
     "bbox_to_landmark",
-    "directed_distance",
     "estimate_likelihoods",
     "extract_features",
     "fit_logit",

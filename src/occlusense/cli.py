@@ -17,8 +17,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +52,15 @@ from .landmark import (
 from .metrics import aggregate_similarity, improvement_ratio, mean_and_se, posterior_mass_at_truth, score_pair
 from .perception import raycast_scan, standard_inverse_update, visibility_mask
 from .seeds import named_rng
-from .simulator import ScenarioConfig, anchored_spec_at, ground_truth_grid, read_episodes, simulate_batch, write_episodes
+from .simulator import (
+    GRID_FRAMES,
+    ScenarioConfig,
+    anchored_spec_at,
+    ground_truth_grid,
+    read_episodes,
+    simulate_batch,
+    write_episodes,
+)
 
 #: Feature windows need this much history before the first evaluable frame.
 WARMUP_SECONDS = 0.5
@@ -129,108 +139,101 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
+def _checked(kind, ok, rule: str):
+    """Parser converting a value with ``kind`` and rejecting it unless ``ok``."""
+    def parse(value: str):
+        parsed = kind(value)
+        if not ok(parsed):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return parsed
+    return parse
+
+
+def _one_of(*choices: str):
+    return _checked(str, lambda v: v in choices, f"one of {choices}")
+
+
+def _split(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(","))
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+
+#: Flat config key -> (PipelineConfig field, parser).  ``sim.*``,
+#: ``camera.*`` and ``region.{x,y}_{min,max}`` are handled by prefix.
+_KEYS = {
+    "mode": ("mode", _one_of("grid", "landmark")),
+    "seed": ("seed", int),
+    "out_dir": ("out_dir", str),
+    "grid.width": ("grid_width", int),
+    "grid.height": ("grid_height", int),
+    "grid.resolution": ("grid_resolution", float),
+    "grid.frame": ("grid_frame", _one_of(*GRID_FRAMES)),
+    "sim.n_episodes": ("n_episodes", int),
+    "train.split": ("train_split", float),
+    "train.k": ("k_actionlets", _COUNT),
+    "train.alpha": ("smoothing_alpha", _checked(float, lambda v: v >= 0.0, "nonnegative")),
+    "train.stride": ("train_stride", _COUNT),
+    "eval.stride": ("eval_stride", _COUNT),
+    "eval.methods": ("eval_methods", _checked(_split, lambda ms: set(ms) <= set(EVAL_METHODS),
+                                              f"methods from {EVAL_METHODS}")),
+    "eval.region": ("eval_region", _one_of("full", "occluded")),
+    "eval.threshold": ("psi_threshold", _checked(float, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
+    "eval.n_beams": ("n_beams", _COUNT),
+    "eval.max_range": ("max_range", _checked(float, lambda v: v > 0.0, "positive")),
+    "logit.reg": ("logit_reg", float),
+    "logit.max_iters": ("logit_max_iters", int),
+    "logit.tol": ("logit_tol", float),
+    "region.step": ("region_step", float),
+}
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_RANGE_KEYS = {"d0_range", "v0_range", "ped_speed_range", "duration_range"}
+_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "height_m"}
+_REGION_KEYS = {"x_min", "x_max", "y_min", "y_max"}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from flat config keys.
 
-    Unknown keys are rejected so typos fail loudly instead of silently
-    running with defaults.
+    Unknown keys and out-of-range values are rejected so mistakes fail
+    loudly at load time instead of running with defaults or failing
+    partway through a command.
     """
     cfg = PipelineConfig()
     scenario_kwargs: dict = {}
     camera: dict[str, float] = {}
     for key, value in mapping.items():
+        prefix, _, name = key.partition(".")
         try:
-            _apply_key(cfg, scenario_kwargs, camera, key, value)
+            if key in _KEYS:
+                attr, parse = _KEYS[key]
+                setattr(cfg, attr, parse(value))
+            elif prefix == "sim" and name in _SCENARIO_KEYS:
+                tuple_valued = isinstance(getattr(cfg.scenario, name), tuple)
+                scenario_kwargs[name] = tuple(map(float, _split(value))) if tuple_valued else float(value)
+            elif prefix == "camera" and name in _CAMERA_KEYS:
+                camera[name] = float(value)
+            elif prefix == "region" and name in _REGION_KEYS:
+                axis, end = name.split("_")
+                lo, hi = getattr(cfg, f"region_{axis}")
+                setattr(cfg, f"region_{axis}", (float(value), hi) if end == "min" else (lo, float(value)))
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     if scenario_kwargs:
         base = dataclasses.asdict(cfg.scenario)
         base.update(scenario_kwargs)
         cfg.scenario = ScenarioConfig(**base)
-    if camera:
-        missing = {"fx", "fy", "cx", "cy", "height_m"} - set(camera)
-        if missing:
-            raise ConfigError(f"camera config incomplete: missing {sorted(missing)}")
-        cfg.camera_fallback = CameraModel(**camera)
+    missing = _CAMERA_KEYS - set(camera)
+    if camera and missing:
+        raise ConfigError(f"camera config incomplete: missing {sorted(missing)}")
+    try:  # the grid and camera constructors check their own values
+        cfg.grid_template()
+        if camera:
+            cfg.camera_fallback = CameraModel(**camera)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     return cfg
-
-
-def _apply_key(cfg: PipelineConfig, scenario_kwargs: dict, camera: dict, key: str, value: str) -> None:
-    if key == "mode":
-        if value not in ("grid", "landmark"):
-            raise ValueError(f"mode must be 'grid' or 'landmark', got {value!r}")
-        cfg.mode = value
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "out_dir":
-        cfg.out_dir = value
-    elif key in ("grid.width", "grid.height"):
-        setattr(cfg, "grid_width" if key.endswith("width") else "grid_height", int(value))
-    elif key == "grid.resolution":
-        cfg.grid_resolution = float(value)
-    elif key == "grid.frame":
-        cfg.grid_frame = value
-    elif key == "sim.n_episodes":
-        cfg.n_episodes = int(value)
-    elif key.startswith("sim."):
-        name = key[4:]
-        if name not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if name in _RANGE_KEYS or name == "behavior_weights":
-            scenario_kwargs[name] = tuple(float(v) for v in value.split(","))
-        else:
-            scenario_kwargs[name] = float(value)
-    elif key == "train.split":
-        cfg.train_split = float(value)
-    elif key == "train.k":
-        cfg.k_actionlets = int(value)
-    elif key == "train.alpha":
-        cfg.smoothing_alpha = float(value)
-    elif key == "train.stride":
-        cfg.train_stride = int(value)
-    elif key == "eval.stride":
-        cfg.eval_stride = int(value)
-    elif key == "eval.methods":
-        methods = tuple(m.strip() for m in value.split(","))
-        bad = [m for m in methods if m not in EVAL_METHODS]
-        if bad:
-            raise ValueError(f"unknown eval methods {bad}; choose from {EVAL_METHODS}")
-        cfg.eval_methods = methods
-    elif key == "eval.region":
-        if value not in ("full", "occluded"):
-            raise ValueError("eval.region must be 'full' or 'occluded'")
-        cfg.eval_region = value
-    elif key == "eval.threshold":
-        cfg.psi_threshold = float(value)
-    elif key == "eval.n_beams":
-        cfg.n_beams = int(value)
-    elif key == "eval.max_range":
-        cfg.max_range = float(value)
-    elif key == "logit.reg":
-        cfg.logit_reg = float(value)
-    elif key == "logit.max_iters":
-        cfg.logit_max_iters = int(value)
-    elif key == "logit.tol":
-        cfg.logit_tol = float(value)
-    elif key in ("region.x_min", "region.x_max"):
-        lo, hi = cfg.region_x
-        cfg.region_x = (float(value), hi) if key.endswith("x_min") else (lo, float(value))
-    elif key in ("region.y_min", "region.y_max"):
-        lo, hi = cfg.region_y
-        cfg.region_y = (float(value), hi) if key.endswith("y_min") else (lo, float(value))
-    elif key == "region.step":
-        cfg.region_step = float(value)
-    elif key.startswith("camera."):
-        name = key[7:]
-        if name not in ("fx", "fy", "cx", "cy", "height_m"):
-            raise ConfigError(f"unknown config key {key!r}")
-        camera[name] = float(value)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> PipelineConfig:
@@ -305,6 +308,19 @@ class ManifestWriter:
         return path
 
 
+@contextmanager
+def _staged(*paths: Path):
+    """Temp paths beside ``paths``, moved into place only if the block succeeds."""
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces.
 # ---------------------------------------------------------------------------
@@ -339,9 +355,8 @@ def _training_pairs(logs, template: GridSpec, stride: int):
     features, maps = [], []
     for log in logs:
         for i in _eval_frame_indices(log, stride):
-            t = float(log.t[i])
-            features.append(extract_features(log, t))
-            maps.append(ground_truth_grid(log, t, template))
+            features.append(extract_features(log, float(log.t[i])))
+            maps.append(ground_truth_grid(log, i, anchored_spec_at(template, log, i)))
     return features, maps
 
 
@@ -475,9 +490,12 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frames_path = out / "eval_frames.csv"
+    summary_path = out / "eval_summary.json"
     series: dict[str, list[list[tuple[float, float]]]] = {m: [] for m in cfg.eval_methods}
 
-    with open(frames_path, "w", newline="") as fh:
+    # The CSV is closed before _staged moves both files into place.
+    with _staged(frames_path, summary_path) as (frames_tmp, summary_tmp), \
+            open(frames_tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "t", "method", "psi", "d_ab_free", "d_ab_occ", "d_ba_free", "d_ba_occ"])
         for ep in eval_idx:
@@ -486,7 +504,7 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             for i in _eval_frame_indices(log, cfg.eval_stride):
                 t = float(log.t[i])
                 spec_t = anchored_spec_at(template, log, i)
-                truth = ground_truth_grid(log, t, template)
+                truth = ground_truth_grid(log, i, spec_t)
                 scan = raycast_scan(log.scene_at(i), log.ego_pose(i), cfg.n_beams, cfg.max_range)
                 mask = None
                 if cfg.eval_region == "occluded":
@@ -514,16 +532,15 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
                 if ser:
                     series[method].append(ser)
 
-    summary = {
-        "mode": "grid",
-        "threshold": cfg.psi_threshold,
-        "region": cfg.eval_region,
-        "methods": {m: aggregate_similarity(s).to_dict() for m, s in series.items() if s},
-    }
-    summary_path = out / "eval_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        summary = {
+            "mode": "grid",
+            "threshold": cfg.psi_threshold,
+            "region": cfg.eval_region,
+            "methods": {m: aggregate_similarity(s).to_dict() for m, s in series.items() if s},
+        }
+        with open(summary_tmp, "w") as sfh:
+            json.dump(summary, sfh, indent=2, sort_keys=True)
+            sfh.write("\n")
     manifest.add_output(frames_path)
     manifest.add_output(summary_path)
     for method, stats in summary["methods"].items():

@@ -17,46 +17,6 @@ from .errors import SpecMismatchError
 from .grid import BinaryMap
 
 
-def directed_distance(a: BinaryMap, b: BinaryMap, c: int, mask: np.ndarray | None = None) -> float:
-    """Mean nearest-neighbor distance from a's class-c cells into b.
-
-    For every cell of ``a`` with value ``c``, take the Manhattan distance
-    (in cell units) to the closest cell of ``b`` with the same value, and
-    average.  Conventions for empty classes:
-
-    * ``a`` has no class-c cells: the distance is 0.
-    * ``b`` has no class-c cells: every term is the grid diameter
-      (width + height in cells).
-
-    Args:
-        a: source map (distances start at its class-c cells).
-        b: target map (distances end at its class-c cells).
-        c: occupancy class, 0 or 1.
-        mask: optional boolean include-mask over flat cell indices; cells
-            outside the mask are ignored on both sides.
-
-    Returns:
-        Nonnegative mean distance in cell units.
-    """
-    if c not in (0, 1):
-        raise ValueError(f"occupancy class must be 0 or 1, got {c}")
-    if not a.spec.layout_matches(b.spec):
-        raise SpecMismatchError("maps have different layouts")
-    include = np.ones(a.spec.n_cells, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if include.shape != (a.spec.n_cells,):
-        raise ValueError("mask shape does not match grid")
-
-    coords = a.spec.cell_coords()
-    src = coords[(a.cells == c) & include]
-    if len(src) == 0:
-        return 0.0
-    dst = coords[(b.cells == c) & include]
-    if len(dst) == 0:
-        return float(a.spec.width_cells + a.spec.height_cells)
-    diff = np.abs(src[:, None, :] - dst[None, :, :]).sum(axis=2)
-    return float(diff.min(axis=1).mean())
-
-
 @dataclass(frozen=True)
 class PairScore:
     """Similarity breakdown for one map pair: psi plus its four terms."""
@@ -71,14 +31,39 @@ class PairScore:
 def score_pair(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> PairScore:
     """Symmetric two-class map distance psi (lower is more similar).
 
-    psi is the sum of the four directed terms d(a,b,0), d(a,b,1), d(b,a,0)
-    and d(b,a,1).  Identical maps score 0.0; the score is symmetric in its
-    arguments (fsum makes the total independent of term order).
+    psi is the sum of four directed terms d(a,b,c) and d(b,a,c), c in {0, 1}.
+    d(x,y,c) is the mean Manhattan distance (in cell units) from each
+    class-c cell of x to the closest class-c cell of y.  Conventions for
+    empty classes:
+
+    * x has no class-c cells: the term is 0.
+    * y has no class-c cells: every cell of x pays the grid diameter
+      (width + height in cells).
+
+    ``mask`` is an optional boolean include-mask over flat cell indices;
+    cells outside it are ignored on both sides.  One distance matrix per
+    class serves both directions: its row minima give d(a,b,c) and its
+    column minima d(b,a,c).  Identical maps score 0.0; the score is
+    symmetric in its arguments (fsum makes the total independent of term
+    order).
     """
-    d_ab_free = directed_distance(a, b, 0, mask)
-    d_ab_occ = directed_distance(a, b, 1, mask)
-    d_ba_free = directed_distance(b, a, 0, mask)
-    d_ba_occ = directed_distance(b, a, 1, mask)
+    if not a.spec.layout_matches(b.spec):
+        raise SpecMismatchError("maps have different layouts")
+    include = np.ones(a.spec.n_cells, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if include.shape != (a.spec.n_cells,):
+        raise ValueError("mask shape does not match grid")
+    coords = a.spec.cell_coords()
+    diameter = float(a.spec.width_cells + a.spec.height_cells)
+    terms = []
+    for c in (0, 1):
+        src = coords[(a.cells == c) & include]
+        dst = coords[(b.cells == c) & include]
+        if len(src) == 0 or len(dst) == 0:
+            terms.append((diameter if len(src) else 0.0, diameter if len(dst) else 0.0))
+            continue
+        dist = np.abs(src[:, None, :] - dst[None, :, :]).sum(axis=2)
+        terms.append((float(dist.min(axis=1).mean()), float(dist.min(axis=0).mean())))
+    (d_ab_free, d_ba_free), (d_ab_occ, d_ba_occ) = terms
     return PairScore(d_ab_free, d_ab_occ, d_ba_free, d_ba_occ,
                      math.fsum((d_ab_free, d_ab_occ, d_ba_free, d_ba_occ)))
 

@@ -210,12 +210,6 @@ class EpisodeLog:
     def ego_y(self) -> float:
         return self.config.lane_offset
 
-    def frame_at(self, t: float) -> int:
-        """Index of the frame nearest ``t``; errors outside the episode."""
-        if t < self.t[0] - 1e-9 or t > self.t[-1] + 1e-9:
-            raise ValueError(f"time {t} outside episode [{self.t[0]}, {self.t[-1]}]")
-        return int(np.argmin(np.abs(self.t - t)))
-
     def ego_pose(self, frame: int) -> Pose2D:
         return Pose2D(float(self.ego_x[frame]), self.ego_y, 0.0)
 
@@ -358,6 +352,10 @@ def simulate_batch(config: ScenarioConfig, n_episodes: int, seed: int):
 # Vehicle-anchored grids and ground truth.
 # ---------------------------------------------------------------------------
 
+#: Frames a grid template can be anchored in.
+GRID_FRAMES = ("occluder", "ego", "world")
+
+
 def anchored_spec(template: GridSpec, front_x: float, center_y: float) -> GridSpec:
     """Anchor a grid template ahead of a +x-facing vehicle.
 
@@ -377,7 +375,7 @@ def _anchor_for_frame(log: EpisodeLog, frame: int, frame_id: str) -> tuple[float
         return float(log.occ_front_x[frame]), 0.0
     if frame_id == "ego":
         return float(log.ego_x[frame]), log.ego_y
-    raise ValueError(f"cannot anchor grid frame {frame_id!r}; use 'occluder', 'ego' or 'world'")
+    raise ValueError(f"cannot anchor grid frame {frame_id!r}; use one of {GRID_FRAMES}")
 
 
 def anchored_spec_at(template: GridSpec, log: EpisodeLog, frame: int) -> GridSpec:
@@ -388,26 +386,26 @@ def anchored_spec_at(template: GridSpec, log: EpisodeLog, frame: int) -> GridSpe
     return anchored_spec(template, fx, cy)
 
 
-def ground_truth_grid(log: EpisodeLog, t: float, spec: GridSpec) -> BinaryMap:
-    """True occupancy of the grid at time ``t``.
+def ground_truth_grid(log: EpisodeLog, frame: int, spec: GridSpec) -> BinaryMap:
+    """True occupancy of the grid at one log frame.
 
     Cells whose area overlaps the pedestrian footprint are 1, every other
-    cell 0; with no pedestrian in the scene the map is all zeros.  The grid
-    is anchored according to ``spec.frame`` ("occluder" anchors it ahead of
-    the occluding vehicle, which is the frame the behavior tables use).
+    cell 0; with no pedestrian in the scene the map is all zeros.  ``spec``
+    is already placed for this frame (see :func:`anchored_spec_at`) and is
+    used as given.
     """
-    frame = log.frame_at(t)
-    spec_t = anchored_spec_at(spec, log, frame)
-    cells = np.zeros(spec_t.n_cells, dtype=np.int64)
+    if not 0 <= frame < log.n_frames:
+        raise ValueError(f"frame {frame} outside episode of {log.n_frames} frames")
+    cells = np.zeros(spec.n_cells, dtype=np.int64)
     if log.ped_present[frame]:
         half_ped = log.config.ped_size / 2.0
         px, py = log.crosswalk_x, float(log.ped_y[frame])
-        centers = spec_t.cell_centers()
-        half_res = spec_t.resolution / 2.0
+        centers = spec.cell_centers()
+        half_res = spec.resolution / 2.0
         overlap_x = (np.abs(centers[:, 0] - px) < half_res + half_ped)
         overlap_y = (np.abs(centers[:, 1] - py) < half_res + half_ped)
         cells[overlap_x & overlap_y] = 1
-    return BinaryMap(spec_t, cells)
+    return BinaryMap(spec, cells)
 
 
 # ---------------------------------------------------------------------------

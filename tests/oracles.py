@@ -52,10 +52,11 @@ def enumeration_prior_check(grid, n_probes: int, rng: np.random.Generator) -> No
 # Image similarity by double loop.
 # ---------------------------------------------------------------------------
 
-def brute_force_directed(a: BinaryMap, b: BinaryMap, c: int) -> float:
+def brute_force_directed(a: BinaryMap, b: BinaryMap, c: int, mask=None) -> float:
     spec = a.spec
-    src = [spec.col_row(i) for i in range(spec.n_cells) if a.cells[i] == c]
-    dst = [spec.col_row(j) for j in range(spec.n_cells) if b.cells[j] == c]
+    included = [mask is None or bool(mask[i]) for i in range(spec.n_cells)]
+    src = [spec.col_row(i) for i in range(spec.n_cells) if a.cells[i] == c and included[i]]
+    dst = [spec.col_row(j) for j in range(spec.n_cells) if b.cells[j] == c and included[j]]
     if not src:
         return 0.0
     diameter = float(spec.width_cells + spec.height_cells)
@@ -70,9 +71,9 @@ def brute_force_directed(a: BinaryMap, b: BinaryMap, c: int) -> float:
     return total / len(src)
 
 
-def brute_force_psi(a: BinaryMap, b: BinaryMap) -> float:
+def brute_force_psi(a: BinaryMap, b: BinaryMap, mask=None) -> float:
     return math.fsum(
-        brute_force_directed(x, y, c)
+        brute_force_directed(x, y, c, mask)
         for c in (0, 1)
         for (x, y) in ((a, b), (b, a))
     )

@@ -95,6 +95,8 @@ def test_config_mapping_rejects_unknown(mapping):
 def test_config_camera_must_be_complete():
     with pytest.raises(ConfigError, match="camera"):
         config_from_mapping({"camera.fx": "500"})
+    with pytest.raises(ConfigError, match="focal"):
+        config_from_mapping({f"camera.{k}": "0" if k == "fx" else str(v) for k, v in CAMERA.items()})
     cfg = config_from_mapping({f"camera.{k}": str(v) for k, v in CAMERA.items()})
     assert cfg.camera_fallback is not None
     assert cfg.camera_fallback.fx == 500.0
@@ -318,15 +320,42 @@ def test_truncated_dataset_exits_2(grid_run, tmp_path):
     assert "frames" in manifest(out, "eval")["error"]
 
 
-def test_eval_internal_error_exits_3(grid_run, tmp_path):
-    cfg = tmp_path / "eval.cfg"
-    cfg.write_text("grid.frame = map\neval.methods = standard\n")
+def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
+    def broken_score(*args, **kwargs):
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr("occlusense.cli.score_pair", broken_score)
     out = tmp_path / "eval"
-    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"),
-                 "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 3
+    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(grid_run),
+                 "--seed", "11", "--out", str(out)]) == 3
     doc = manifest(out, "eval")
     assert doc["status"] == "failed"
-    assert doc["error"].startswith("ValueError")
+    assert doc["error"].startswith("RuntimeError")
+    # neither artifact nor its temp file is left next to the failed manifest
+    assert sorted(p.name for p in out.iterdir()) == ["manifest_eval.json"]
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", "grid.frame = map"),
+    ("train", "train.stride = 0"),
+    ("train", "train.k = 0"),
+    ("train", "train.alpha = -1"),
+    ("train", "grid.resolution = 0"),
+    ("eval", "eval.stride = 0"),
+    ("eval", "eval.threshold = 1.5"),
+    ("eval", "eval.n_beams = 0"),
+    ("eval", "eval.max_range = -1"),
+    ("eval", "grid.width = 0"),
+])
+def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(grid_run / "dataset.jsonl"), "--config", str(cfg), "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 1
+    assert not out.exists()  # rejected before any manifest or artifact is written
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlusense.grid import BinaryMap, GridSpec
+from occlusense.errors import SpecMismatchError
 from occlusense.metrics import (
     aggregate_similarity,
-    directed_distance,
     improvement_ratio,
     mean_and_se,
     posterior_mass_at_truth,
@@ -25,43 +25,52 @@ def bmap(spec, bits):
     return BinaryMap(spec, np.array(bits, dtype=np.int8))
 
 
+def terms(a, b, mask=None):
+    """psi's four directed terms: d(a,b,0), d(a,b,1), d(b,a,0), d(b,a,1)."""
+    s = score_pair(a, b, mask)
+    return (s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ)
+
+
+def oracle_terms(a, b, mask=None):
+    return tuple(brute_force_directed(x, y, c, mask) for (x, y) in ((a, b), (b, a)) for c in (0, 1))
+
+
 # ---------------------------------------------------------------------------
-# directed_distance
+# directed terms of psi
 # ---------------------------------------------------------------------------
 
 def test_identity_is_zero():
     spec = GridSpec(3, 3)
     a = bmap(spec, np.random.default_rng(0).integers(0, 2, 9))
-    for c in (0, 1):
-        assert directed_distance(a, a, c) == 0.0
+    assert terms(a, a) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_single_cell_distance():
     spec = GridSpec(2, 1)
     a = bmap(spec, [1, 0])
     b = bmap(spec, [0, 1])
-    assert directed_distance(a, b, 1) == 1.0
-    assert directed_distance(a, b, 0) == 1.0
+    assert terms(a, b) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_empty_class_conventions():
     spec = GridSpec(3, 3)
     allfree = bmap(spec, [0] * 9)
     someocc = bmap(spec, [1, 0, 0, 0, 1, 0, 0, 0, 0])
-    # no source cells of class 1 -> 0
-    assert directed_distance(allfree, someocc, 1) == 0.0
-    # destination lacks class 1 -> every source cell pays the diameter
-    assert directed_distance(someocc, allfree, 1) == 6.0
+    # no source cells of class 1 -> 0; a target without class 1 -> every
+    # source cell pays the diameter (3 + 3), in either argument order
+    s = score_pair(allfree, someocc)
+    assert (s.d_ab_occ, s.d_ba_occ) == (0.0, 6.0)
+    s = score_pair(someocc, allfree)
+    assert (s.d_ab_occ, s.d_ba_occ) == (6.0, 0.0)
 
 
-def test_rejects_bad_class_and_layout():
-    spec = GridSpec(2, 2)
-    a = bmap(spec, [0, 1, 0, 1])
-    with pytest.raises(ValueError):
-        directed_distance(a, a, 2)
+def test_rejects_layout_mismatch():
+    a = bmap(GridSpec(2, 2), [0, 1, 0, 1])
     b = bmap(GridSpec(4, 1), [0, 1, 0, 1])
-    with pytest.raises(Exception):
-        directed_distance(a, b, 1)
+    with pytest.raises(SpecMismatchError):
+        score_pair(a, b)
+    with pytest.raises(ValueError):
+        score_pair(a, a, np.ones(3, dtype=bool))
 
 
 def test_matches_brute_force_oracle():
@@ -71,8 +80,20 @@ def test_matches_brute_force_oracle():
         spec = GridSpec(w, h)
         a = bmap(spec, rng.integers(0, 2, spec.n_cells))
         b = bmap(spec, rng.integers(0, 2, spec.n_cells))
-        for c in (0, 1):
-            assert directed_distance(a, b, c) == brute_force_directed(a, b, c)
+        assert terms(a, b) == oracle_terms(a, b)
+
+
+def test_masked_terms_match_brute_force_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(80):
+        w, h = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        spec = GridSpec(w, h)
+        a = bmap(spec, rng.integers(0, 2, spec.n_cells))
+        b = bmap(spec, rng.integers(0, 2, spec.n_cells))
+        # sparse, dense, empty and full masks all occur
+        mask = rng.random(spec.n_cells) < rng.choice([0.0, 0.2, 0.6, 1.0])
+        assert terms(a, b, mask) == oracle_terms(a, b, mask)
+        assert score_pair(a, b, mask).psi == brute_force_psi(a, b, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +146,9 @@ def test_masked_scoring_restricts_cells():
     b = bmap(spec, [0, 0, 1])
     mask = np.array([True, True, False])
     # with cell 2 masked out, b has no occupied cells inside the mask
-    assert directed_distance(a, b, 1, mask) == 4.0  # diameter = 3 + 1
-    assert directed_distance(a, b, 1) == 2.0
+    assert score_pair(a, b, mask).d_ab_occ == 4.0  # diameter = 3 + 1
+    assert score_pair(a, b, mask).d_ba_occ == 0.0
+    assert score_pair(a, b).d_ab_occ == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -217,9 +217,14 @@ def stand_log():
     return run_episode(fixed_scenario(PedestrianBehavior.STAND, duration=5.0))
 
 
+def frame_of(log, t):
+    return int(round(t * log.config.log_rate))
+
+
 def test_truth_single_cell():
     spec = GridSpec(3, 3, 1.0, origin=(1.0, -1.0), frame="world")
-    truth = ground_truth_grid(stand_log(), 2.0, spec)
+    log = stand_log()
+    truth = ground_truth_grid(log, frame_of(log, 2.0), spec)
     want = np.zeros(9, dtype=np.int64)
     want[spec.index(1, 1)] = 1  # center (0, -2)
     assert np.array_equal(truth.cells, want)
@@ -227,7 +232,8 @@ def test_truth_single_cell():
 
 def test_truth_straddles_two_cells():
     spec = GridSpec(3, 3, 1.0, origin=(1.0, -1.5), frame="world")
-    truth = ground_truth_grid(stand_log(), 2.0, spec)
+    log = stand_log()
+    truth = ground_truth_grid(log, frame_of(log, 2.0), spec)
     want = np.zeros(9, dtype=np.int64)
     want[spec.index(0, 1)] = 1  # centers (0, -1.5) and (0, -2.5)
     want[spec.index(1, 1)] = 1
@@ -236,19 +242,21 @@ def test_truth_straddles_two_cells():
 
 def test_truth_absent_all_zero():
     log = run_episode(fixed_scenario(PedestrianBehavior.ABSENT))
-    spec = GridSpec(6, 7, 1.0, frame="occluder")
-    truth = ground_truth_grid(log, 1.0, spec)
+    i = frame_of(log, 1.0)
+    spec = anchored_spec_at(GridSpec(6, 7, 1.0, frame="occluder"), log, i)
+    truth = ground_truth_grid(log, i, spec)
     assert not truth.cells.any()
-    assert truth.spec.frame == "occluder"
+    assert truth.spec is spec
 
 
-def test_truth_time_bounds():
+def test_truth_frame_bounds():
     log = run_episode(fixed_scenario(PedestrianBehavior.ABSENT, duration=5.0))
-    spec = GridSpec(6, 7, 1.0, frame="occluder")
+    spec = anchored_spec_at(GridSpec(6, 7, 1.0, frame="occluder"), log, 0)
+    assert not ground_truth_grid(log, log.n_frames - 1, spec).cells.any()
     with pytest.raises(ValueError):
-        ground_truth_grid(log, 5.5, spec)
+        ground_truth_grid(log, log.n_frames, spec)
     with pytest.raises(ValueError):
-        ground_truth_grid(log, -0.5, spec)
+        ground_truth_grid(log, -1, spec)
 
 
 # ---------------------------------------------------------------------------
