@@ -135,6 +135,9 @@ class PipelineConfig:
     def grid_template(self) -> GridSpec:
         return GridSpec(self.grid_width, self.grid_height, self.grid_resolution, (0.0, 0.0), self.grid_frame)
 
+    def region(self) -> OccludedRegion:
+        return OccludedRegion.from_grid(*self.region_x, *self.region_y, self.region_step)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -227,8 +230,9 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     missing = _CAMERA_KEYS - set(camera)
     if camera and missing:
         raise ConfigError(f"camera config incomplete: missing {sorted(missing)}")
-    try:  # the grid and camera constructors check their own values
+    try:  # the grid, region and camera constructors check their own values
         cfg.grid_template()
+        cfg.region()
         if camera:
             cfg.camera_fallback = CameraModel(**camera)
     except ValueError as exc:
@@ -370,13 +374,9 @@ def cmd_simulate(cfg: PipelineConfig, manifest: ManifestWriter) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = out / "dataset.jsonl"
-    count = write_episodes(
-        str(dataset),
-        simulate_batch(cfg.scenario, cfg.n_episodes, cfg.seed),
-        cfg.scenario,
-        cfg.seed,
-        cfg.n_episodes,
-    )
+    with _staged(dataset) as (tmp,):
+        episodes = simulate_batch(cfg.scenario, cfg.n_episodes, cfg.seed)
+        count = write_episodes(str(tmp), episodes, cfg.scenario, cfg.seed, cfg.n_episodes)
     manifest.counters["episodes"] = count
     manifest.add_output(dataset)
     print(f"simulate: wrote {count} episodes to {dataset}")
@@ -416,8 +416,9 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
     out.mkdir(parents=True, exist_ok=True)
     actionlet_path = out / "actionlets.json"
     table_path = out / "likelihoods.json"
-    save_model_json(model, str(actionlet_path))
-    save_model_json(table, str(table_path))
+    with _staged(actionlet_path, table_path) as (actionlet_tmp, table_tmp):
+        save_model_json(model, str(actionlet_tmp))
+        save_model_json(table, str(table_tmp))
     manifest.add_output(actionlet_path)
     manifest.add_output(table_path)
     manifest.counters["kmeans_iterations"] = len(model.sse_history)
@@ -449,7 +450,8 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "logit.json"
-    save_logit_model(model, str(model_path))
+    with _staged(model_path) as (tmp,):
+        save_logit_model(model, str(tmp))
     manifest.add_output(model_path)
     manifest.counters["logit_iterations"] = len(model.loglik_history)
     print(f"train: fit action model on {len(samples)} samples; model in {out}")
@@ -565,13 +567,13 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
         raise DataError("landmark evaluation needs at least two clips")
     _, eval_idx = split_episodes(len(clips), cfg.train_split, cfg.seed)
     eval_clips = {clips[i] for i in eval_idx}
-    region = OccludedRegion.from_grid(cfg.region_x[0], cfg.region_x[1],
-                                      cfg.region_y[0], cfg.region_y[1], cfg.region_step)
+    region = cfg.region()
     prior = 1.0 / region.n
 
-    masses: dict[int, list[float]] = {a.value: [] for a in SemanticAction}
+    # The posterior depends only on the observed action: one per action seen.
+    posteriors: dict[SemanticAction, np.ndarray] = {}
+    masses: dict[SemanticAction, list[float]] = {a: [] for a in SemanticAction}
     skipped_outside = 0
-    evaluated = 0
     for r in records:
         if r["clip_id"] not in eval_clips or not r["occluded"]:
             continue
@@ -579,9 +581,11 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
         if truth_idx is None:
             skipped_outside += 1
             continue
-        posterior = posterior_over_region(model, region, r["action"])
-        masses[r["action"].value].append(posterior_mass_at_truth(posterior, truth_idx))
-        evaluated += 1
+        action = r["action"]
+        if action not in posteriors:
+            posteriors[action] = posterior_over_region(model, region, action)
+        masses[action].append(posterior_mass_at_truth(posteriors[action], truth_idx))
+    evaluated = sum(map(len, masses.values()))
     if evaluated == 0:
         raise DataError("no occluded samples inside the candidate region to evaluate")
 
@@ -589,8 +593,7 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "eval_actions.csv"
     rows = []
-    for action in SemanticAction:
-        vals = masses[action.value]
+    for action, vals in masses.items():
         if not vals:
             continue
         mean, se = mean_and_se(vals)
@@ -602,13 +605,6 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
             "p_ours_se": se,
             "improvement_ratio": improvement_ratio(mean, prior),
         })
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["action", "n", "p_prior", "p_ours_mean",
-                                                "p_ours_se", "improvement_ratio"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-
     summary = {
         "mode": "landmark",
         "region_candidates": region.n,
@@ -618,9 +614,16 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
         "actions": {row["action"]: {k: v for k, v in row.items() if k != "action"} for row in rows},
     }
     summary_path = out / "eval_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _staged(table_path, summary_path) as (table_tmp, summary_tmp), \
+            open(table_tmp, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["action", "n", "p_prior", "p_ours_mean",
+                                                "p_ours_se", "improvement_ratio"])
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+        with open(summary_tmp, "w") as sfh:
+            json.dump(summary, sfh, indent=2, sort_keys=True)
+            sfh.write("\n")
     manifest.add_output(table_path)
     manifest.add_output(summary_path)
     manifest.counters["evaluated_samples"] = evaluated
@@ -644,7 +647,8 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     accepted = 0
     rejected: dict[str, int] = {"missing_field": 0, "bad_action": 0, "horizon": 0, "bad_bbox": 0}
 
-    with open(out_path, "w") as fh:
+    # The file is closed before _staged moves it into place.
+    with _staged(out_path) as (tmp,), open(tmp, "w") as fh:
         for src in annotations:
             manifest.add_input(src)
             try:
@@ -709,7 +713,6 @@ def _ingest_record(rec: dict, camera_fallback: CameraModel | None):
         "frame": frame,
         "x": obs.state.x,
         "y": obs.state.y,
-        "cov": obs.covariance.tolist(),
         "action": action.name.lower(),
         "occluded": occluded,
     }

@@ -60,15 +60,21 @@ class LandmarkState:
     x: float
     y: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def position_features(xy: np.ndarray) -> np.ndarray:
     """Feature map [1, x, y, ||(x, y)||] applied row-wise to (m, 2) input."""
     xy = np.atleast_2d(np.asarray(xy, dtype=float))
     norm = np.hypot(xy[:, 0], xy[:, 1])
     return np.column_stack((np.ones(len(xy)), xy[:, 0], xy[:, 1], norm))
+
+
+def _softmax(weights: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-max-shifted scores ``phi @ weights.T``, their log-normalizers and softmax."""
+    scores = phi @ weights.T
+    scores -= scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    total = e.sum(axis=1, keepdims=True)
+    return scores, np.log(total[:, 0]), e / total
 
 
 @dataclass
@@ -86,10 +92,7 @@ class LogitModel:
 
     def predict_proba(self, xy: np.ndarray) -> np.ndarray:
         """(m, 5) action distributions for (m, 2) positions."""
-        scores = position_features(xy) @ self.weights.T
-        scores -= scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self.weights, position_features(xy))[2]
 
     def to_dict(self) -> dict:
         return {
@@ -142,27 +145,30 @@ def _coerce_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _loglik_and_probs(weights, phi, labels, reg: float) -> tuple[float, np.ndarray]:
+    """Regularized log-likelihood at ``weights`` and the softmax it came from."""
+    scores, log_norm, probs = _softmax(weights, phi)
+    picked = scores[np.arange(len(labels)), labels]
+    return float((picked - log_norm).sum() - 0.5 * reg * np.sum(weights**2)), probs
+
+
+def _gradient(weights, phi, labels, probs, reg: float) -> np.ndarray:
+    """Gradient of the regularized log-likelihood, given the softmax at ``weights``."""
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return (onehot - probs).T @ phi - reg * weights
+
+
 def regularized_loglik(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg: float) -> float:
     """Sum log-likelihood of the labels minus (reg/2) ||W||^2."""
-    phi = position_features(xy)
-    scores = phi @ np.asarray(weights, dtype=float).T
-    scores -= scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(scores).sum(axis=1))
-    picked = scores[np.arange(len(labels)), labels]
-    return float((picked - log_norm).sum() - 0.5 * reg * np.sum(np.asarray(weights) ** 2))
+    return _loglik_and_probs(np.asarray(weights, dtype=float), position_features(xy), labels, reg)[0]
 
 
 def loglik_gradient(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg: float) -> np.ndarray:
     """Analytic gradient of :func:`regularized_loglik` in ``weights``."""
     weights = np.asarray(weights, dtype=float)
     phi = position_features(xy)
-    scores = phi @ weights.T
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return (onehot - probs).T @ phi - reg * weights
+    return _gradient(weights, phi, labels, _softmax(weights, phi)[2], reg)
 
 
 def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e-9) -> LogitModel:
@@ -185,10 +191,12 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
     if reg == 0.0 and len(np.unique(y)) == 1:
         raise ValueError("all samples share one action: use reg > 0 to keep the fit bounded")
 
+    phi = position_features(X)
     W = np.zeros((N_ACTIONS, N_FEATURES))
-    history = [regularized_loglik(W, X, y, reg)]
-    grad = loglik_gradient(W, X, y, reg)
-    step = 1.0 / max(1.0, float(np.abs(position_features(X)).sum()))
+    val, probs = _loglik_and_probs(W, phi, y, reg)
+    history = [val]
+    grad = _gradient(W, phi, y, probs, reg)
+    step = 1.0 / max(1.0, float(np.abs(phi).sum()))
     for _ in range(max_iters):
         g2 = float(np.sum(grad**2))
         if g2 <= 1e-18:
@@ -196,13 +204,13 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
         # Armijo backtracking on the ascent direction.
         while step > 1e-16:
             cand = W + step * grad
-            val = regularized_loglik(cand, X, y, reg)
+            val, probs = _loglik_and_probs(cand, phi, y, reg)
             if val >= history[-1] + 1e-4 * step * g2:
                 break
             step *= 0.5
         else:
             break
-        cand_grad = loglik_gradient(cand, X, y, reg)
+        cand_grad = _gradient(cand, phi, y, probs, reg)
         # Barzilai-Borwein trial step for the next iteration.
         s = cand - W
         delta = grad - cand_grad
@@ -291,26 +299,22 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class LandmarkObservation:
-    """Back-projected pedestrian position with Gaussian uncertainty."""
+    """Back-projected pedestrian position."""
 
     state: LandmarkState
-    covariance: np.ndarray
 
 
-def bbox_to_landmark(bbox, camera: CameraModel, pixel_sigma: float = 2.0) -> LandmarkObservation:
+def bbox_to_landmark(bbox, camera: CameraModel) -> LandmarkObservation:
     """Back-project a detection box to a ground-plane position.
 
     The box's bottom-center pixel is assumed to touch the ground.  With a
     level camera at ``height_m``, a pixel ``dv`` rows below the principal
     point corresponds to depth ``fy * height_m / dv``; lateral offset
-    follows from the pinhole model.  The returned covariance propagates an
-    isotropic ``pixel_sigma`` through the back-projection Jacobian, so
-    positional uncertainty grows quadratically with depth.
+    follows from the pinhole model.
 
     Args:
         bbox: (x, y, w, h) box in pixels, top-left origin.
         camera: intrinsics and mounting height.
-        pixel_sigma: detection noise in pixels.
 
     Raises:
         ValueError: when the box bottom is at or above the horizon row, or
@@ -326,11 +330,4 @@ def bbox_to_landmark(bbox, camera: CameraModel, pixel_sigma: float = 2.0) -> Lan
         raise ValueError("box bottom at or above the horizon: cannot intersect the ground plane")
     depth = camera.fy * camera.height_m / dv
     lateral = (u - camera.cx) * depth / camera.fx
-
-    ddepth_dv = -depth / dv  # = -depth^2 / (fy * height)
-    jac = np.array([
-        [depth / camera.fx, (u - camera.cx) / camera.fx * ddepth_dv],
-        [0.0, ddepth_dv],
-    ])
-    cov = (pixel_sigma**2) * (jac @ jac.T)
-    return LandmarkObservation(LandmarkState(lateral, depth), cov)
+    return LandmarkObservation(LandmarkState(lateral, depth))

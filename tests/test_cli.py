@@ -16,7 +16,7 @@ import pytest
 import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
-from occlusense.landmark import LogitModel, save_logit_model
+from occlusense.landmark import LogitModel, posterior_over_region, save_logit_model
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "height_m": 1.5}
 
@@ -346,6 +346,8 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("eval", "eval.n_beams = 0"),
     ("eval", "eval.max_range = -1"),
     ("eval", "grid.width = 0"),
+    ("eval", "region.step = 0"),
+    ("eval", "region.x_min = 10"),
 ])
 def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
@@ -381,7 +383,7 @@ def test_ingest_converts_boxes_to_ground_positions(tmp_path):
     assert recs[0]["y"] == 12.0
     assert recs[0]["action"] == "stopped"
     assert recs[0]["occluded"] is False
-    assert np.asarray(recs[0]["cov"]).shape == (2, 2)
+    assert all(sorted(r) == ["action", "clip_id", "frame", "occluded", "x", "y"] for r in recs)
     doc = manifest(out, "ingest")
     assert doc["counters"]["accepted"] == 1
     assert all(v == 0 for k, v in doc["counters"].items() if k.startswith("rejected_"))
@@ -424,6 +426,15 @@ def test_ingest_invalid_json_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", str(src), "--out", str(out)]) == 2
     assert manifest(out, "ingest")["status"] == "failed"
+
+
+def test_ingest_invalid_json_leaves_no_partial_dataset(tmp_path):
+    src = tmp_path / "ann.jsonl"
+    src.write_text("".join(json.dumps(annotation(frame=i)) + "\n" for i in range(3)) + "{not json\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 2
+    # the three records read before the bad line are not left behind
+    assert sorted(p.name for p in out.iterdir()) == ["manifest_ingest.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +522,27 @@ def test_eval_landmark_uniform_model_matches_prior_exactly(tmp_path):
     for r in rows:
         assert float(r["improvement_ratio"]) == 0.0
         assert float(r["p_ours_se"]) == 0.0
+
+
+def test_eval_landmark_computes_one_posterior_per_action(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(model, region, observed):
+        calls.append(observed)
+        return posterior_over_region(model, region, observed)
+
+    monkeypatch.setattr("occlusense.cli.posterior_over_region", counting)
+    ds = landmark_dataset(tmp_path)
+    assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--out", str(tmp_path)]) == 0
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("region.x_min = 0\nregion.x_max = 3\n"
+                   "region.y_min = 1\nregion.y_max = 4\nregion.step = 1\n")
+    out = tmp_path / "out"
+    assert main(["eval", "--dataset", str(ds), "--mode", "landmark", "--models", str(tmp_path),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "eval_summary.json").read_text())
+    assert summary["evaluated_samples"] == 5
+    assert sorted(a.name.lower() for a in calls) == sorted(summary["actions"]) == ["decelerating", "stopped"]
 
 
 def test_eval_landmark_without_models_exits_1(tmp_path):

@@ -225,20 +225,6 @@ def test_bbox_errors():
         CameraModel(fx=-1.0, fy=500.0, cx=320.0, cy=240.0, height_m=1.5)
 
 
-def test_covariance_psd_and_depth_quadratic():
-    near = bbox_to_landmark((295.0, 265.0, 50.0, 100.0), CAMERA)   # depth 6
-    far = bbox_to_landmark((295.0, 202.5, 50.0, 100.0), CAMERA)    # depth 12
-    for obs in (near, far):
-        eig = np.linalg.eigvalsh(obs.covariance)
-        assert np.all(eig >= 0.0)
-        assert obs.covariance[0, 1] == pytest.approx(obs.covariance[1, 0])
-    # depth standard deviation grows as depth^2
-    ratio = np.sqrt(far.covariance[1, 1] / near.covariance[1, 1])
-    assert ratio == pytest.approx((12.0 / 6.0) ** 2)
-    # centered box: lateral and depth errors are uncorrelated
-    assert far.covariance[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
