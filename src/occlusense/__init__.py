@@ -10,7 +10,6 @@ candidate pedestrian positions.
 
 from .behavior import (
     ActionletModel,
-    FeatureWindow,
     LikelihoodTable,
     assign_actionlet,
     estimate_likelihoods,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "EpisodeLog",
-    "FeatureWindow",
     "GridSpec",
     "LandmarkState",
     "LikelihoodTable",

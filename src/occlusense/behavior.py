@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecMismatchError
-from .grid import BinaryMap, GridSpec
+from .grid import GridSpec
 
 FEATURE_DIM = 21
 WINDOW_SECONDS = 0.5
@@ -27,39 +27,20 @@ MIN_LOG_RATE = 20.0
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """One behavior observation: crosswalk distance plus recent kinematics.
-
-    ``vel_samples`` and ``acc_samples`` each hold ten values taken at evenly
-    spaced times spanning the last half second, oldest first.
-    """
-
-    dist_to_crosswalk: float
-    vel_samples: np.ndarray
-    acc_samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vel_samples", np.asarray(self.vel_samples, dtype=float))
-        object.__setattr__(self, "acc_samples", np.asarray(self.acc_samples, dtype=float))
-        if self.vel_samples.shape != (SAMPLES_PER_SIGNAL,) or self.acc_samples.shape != (SAMPLES_PER_SIGNAL,):
-            raise ValueError(f"feature window needs {SAMPLES_PER_SIGNAL} velocity and acceleration samples")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.dist_to_crosswalk], self.vel_samples, self.acc_samples))
-
-
-def extract_features(log, t: float, crosswalk_position: float | None = None) -> FeatureWindow:
+def extract_features(log, t, crosswalk_position: float | None = None) -> np.ndarray:
     """Summarize the occluder's trajectory around time ``t``.
 
     ``log`` is any episode-log-like object exposing ``t`` (timestamps),
     ``occ_speed``, ``occ_accel``, ``occ_front_x`` arrays and a
     ``crosswalk_x`` scalar.  Velocity and acceleration are linearly
-    interpolated at ten evenly spaced times over [t - 0.5, t].
+    interpolated at ten evenly spaced times over [t - 0.5, t], oldest
+    first.  Returns the feature row ``[crosswalk distance, ten velocity
+    samples, ten acceleration samples]``; for an ``(F,)`` array of times it
+    returns an ``(F, 21)`` stack of rows.
 
     Raises:
         ValueError: if the log does not cover the half-second window ending
-            at ``t`` or is sampled slower than 20 Hz.
+            at each ``t`` or is sampled slower than 20 Hz.
     """
     times = np.asarray(log.t, dtype=float)
     if len(times) < 2:
@@ -67,17 +48,18 @@ def extract_features(log, t: float, crosswalk_position: float | None = None) -> 
     dt = np.median(np.diff(times))
     if dt > 1.0 / MIN_LOG_RATE + 1e-9:
         raise ValueError(f"log rate {1.0 / dt:.1f} Hz too slow; need >= {MIN_LOG_RATE} Hz")
-    if t - WINDOW_SECONDS < times[0] - 1e-9 or t > times[-1] + 1e-9:
+    t = np.asarray(t, dtype=float)
+    if np.any(t - WINDOW_SECONDS < times[0] - 1e-9) or np.any(t > times[-1] + 1e-9):
         raise ValueError(
-            f"window [{t - WINDOW_SECONDS:.3f}, {t:.3f}] not covered by log "
+            f"window ending in [{np.min(t):.3f}, {np.max(t):.3f}] not covered by log "
             f"[{times[0]:.3f}, {times[-1]:.3f}]"
         )
-    sample_times = np.linspace(t - WINDOW_SECONDS, t, SAMPLES_PER_SIGNAL)
+    sample_times = np.linspace(t - WINDOW_SECONDS, t, SAMPLES_PER_SIGNAL, axis=-1)
     vel = np.interp(sample_times, times, np.asarray(log.occ_speed, dtype=float))
     acc = np.interp(sample_times, times, np.asarray(log.occ_accel, dtype=float))
     crosswalk = log.crosswalk_x if crosswalk_position is None else crosswalk_position
-    front = float(np.interp(t, times, np.asarray(log.occ_front_x, dtype=float)))
-    return FeatureWindow(crosswalk - front, vel, acc)
+    front = np.interp(t, times, np.asarray(log.occ_front_x, dtype=float))
+    return np.concatenate((np.expand_dims(crosswalk - front, -1), vel, acc), axis=-1)
 
 
 @dataclass
@@ -132,14 +114,6 @@ class ActionletModel:
         )
 
 
-def _as_matrix(features) -> np.ndarray:
-    rows = [f.as_vector() if isinstance(f, FeatureWindow) else np.asarray(f, dtype=float) for f in features]
-    X = np.array(rows, dtype=float)
-    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
-        raise ValueError(f"expected feature rows of length {FEATURE_DIM}")
-    return X
-
-
 def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     d = X[:, None, :] - C[None, :, :]
     return np.einsum("mkd,mkd->mk", d, d)
@@ -154,7 +128,9 @@ def kmeans_fit(features, k: int = 10, max_iters: int = 100, seed: int = 0) -> Ac
     at the point farthest from its assigned centroid.  The within-cluster
     sum of squares is recorded every iteration and asserted non-increasing.
     """
-    X = _as_matrix(features)
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"expected feature rows of length {FEATURE_DIM}")
     m = len(X)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -215,13 +191,18 @@ def _kmeans_pp_init(Xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centroids
 
 
-def assign_actionlet(model: ActionletModel, feature) -> int:
-    """Index of the nearest centroid in scaled space (ties -> lowest index)."""
-    vec = feature.as_vector() if isinstance(feature, FeatureWindow) else np.asarray(feature, dtype=float)
-    if vec.shape != (FEATURE_DIM,):
-        raise ValueError(f"expected a feature vector of length {FEATURE_DIM}")
-    sq = ((model.centroids - model.scale(vec)) ** 2).sum(axis=1)
-    return int(np.argmin(sq))
+def assign_actionlet(model: ActionletModel, features):
+    """Index of the nearest centroid in scaled space (ties -> lowest index).
+
+    ``features`` is one feature row, giving an ``int``, or an ``(F, 21)``
+    stack of rows, giving an ``(F,)`` label array.
+    """
+    rows = np.asarray(features, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != FEATURE_DIM:
+        raise ValueError(f"expected feature rows of length {FEATURE_DIM}")
+    sq = ((model.centroids - model.scale(rows)[..., None, :]) ** 2).sum(axis=-1)
+    labels = np.argmin(sq, axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 @dataclass
@@ -259,11 +240,13 @@ class LikelihoodTable:
         if np.any(self.entries <= 0.0):
             raise ValueError("smoothed likelihood entries must be strictly positive")
 
-    def action_likelihood_arrays(self, action: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lik_occupied, lik_free) arrays over cells for one action."""
-        if not (0 <= action < self.n_actions):
+    def action_likelihood_arrays(self, action) -> tuple[np.ndarray, np.ndarray]:
+        """(lik_occupied, lik_free) arrays over cells for one action, or
+        ``(F, n_cells)`` arrays for an ``(F,)`` array of actions."""
+        action = np.asarray(action)
+        if np.any((action < 0) | (action >= self.n_actions)):
             raise ValueError(f"action {action} outside table with {self.n_actions} actions")
-        return self.entries[:, action, 1].copy(), self.entries[:, action, 0].copy()
+        return self.entries[:, action, 1].T, self.entries[:, action, 0].T
 
     def to_dict(self) -> dict:
         return {
@@ -287,12 +270,13 @@ class LikelihoodTable:
         )
 
 
-def estimate_likelihoods(labeled, spec: GridSpec, n_actions: int, alpha: float = 1.0) -> LikelihoodTable:
+def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: float = 1.0) -> LikelihoodTable:
     """Count-based estimate of p(action | cell state) with Laplace smoothing.
 
     Args:
-        labeled: iterable of (actionlet index, ground-truth BinaryMap) pairs.
-        spec: layout the maps must match.
+        labels: ``(N,)`` actionlet index of each training sample.
+        maps: ``(N, n_cells)`` ground-truth 0/1 occupancy of each sample.
+        spec: layout the maps index.
         n_actions: vocabulary size (must exceed every label).
         alpha: Laplace smoothing strength; each (cell, state) distribution is
             ``(count(a, i, c) + alpha) / (count(i, c) + alpha * n_actions)``.
@@ -302,16 +286,14 @@ def estimate_likelihoods(labeled, spec: GridSpec, n_actions: int, alpha: float =
         raise ValueError("need at least one action")
     if alpha < 0.0:
         raise ValueError("smoothing strength must be nonnegative")
-    pairs = list(labeled)
-    labels = np.empty(len(pairs), dtype=np.int64)
-    maps = np.empty((len(pairs), spec.n_cells), dtype=np.int64)
-    for s, (action, bmap) in enumerate(pairs):
-        if not (0 <= action < n_actions):
-            raise ValueError(f"label {action} outside action vocabulary of size {n_actions}")
-        if not bmap.spec.layout_matches(spec):
-            raise SpecMismatchError("training map layout does not match table spec")
-        labels[s] = action
-        maps[s] = bmap.cells
+    labels = np.asarray(labels, dtype=np.int64)
+    maps = np.asarray(maps, dtype=np.int64)
+    if labels.ndim != 1 or maps.ndim != 2 or len(maps) != len(labels):
+        raise ValueError(f"need one label per map, got shapes {labels.shape} and {maps.shape}")
+    if np.any((labels < 0) | (labels >= n_actions)):
+        raise ValueError(f"labels outside action vocabulary of size {n_actions}")
+    if maps.shape[1] != spec.n_cells:
+        raise SpecMismatchError(f"training maps have {maps.shape[1]} cells; the table spec has {spec.n_cells}")
 
     entries = np.empty((spec.n_cells, n_actions, 2))
     sample_counts = np.empty((spec.n_cells, 2), dtype=np.int64)

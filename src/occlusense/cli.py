@@ -172,8 +172,8 @@ _KEYS = {
     "grid.height": ("grid_height", int),
     "grid.resolution": ("grid_resolution", float),
     "grid.frame": ("grid_frame", _one_of(*GRID_FRAMES)),
-    "sim.n_episodes": ("n_episodes", int),
-    "train.split": ("train_split", float),
+    "sim.n_episodes": ("n_episodes", _COUNT),
+    "train.split": ("train_split", _checked(float, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
     "train.k": ("k_actionlets", _COUNT),
     "train.alpha": ("smoothing_alpha", _checked(float, lambda v: v >= 0.0, "nonnegative")),
     "train.stride": ("train_stride", _COUNT),
@@ -184,7 +184,7 @@ _KEYS = {
     "eval.threshold": ("psi_threshold", _checked(float, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
     "eval.n_beams": ("n_beams", _COUNT),
     "eval.max_range": ("max_range", _checked(float, lambda v: v > 0.0, "positive")),
-    "logit.reg": ("logit_reg", float),
+    "logit.reg": ("logit_reg", _checked(float, lambda v: v >= 0.0, "nonnegative")),
     "logit.max_iters": ("logit_max_iters", int),
     "logit.tol": ("logit_tol", float),
     "region.step": ("region_step", float),
@@ -347,21 +347,22 @@ def split_episodes(n_episodes: int, split: float, seed: int) -> tuple[np.ndarray
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _eval_frame_indices(log, stride: int) -> list[int]:
+def _eval_frame_indices(log, stride: int) -> np.ndarray:
     """Frames with enough history for a feature window, at the given stride."""
     rate = log.config.log_rate
     first = int(np.ceil(WARMUP_SECONDS * rate - 1e-9))
-    return list(range(first, log.n_frames, stride))
+    return np.arange(first, log.n_frames, stride)
 
 
-def _training_pairs(logs, template: GridSpec, stride: int):
-    """(FeatureWindow, BinaryMap) pairs over the training episodes."""
+def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 21) feature rows and (N, n_cells) true maps over the training
+    episodes, one call per layer and episode."""
     features, maps = [], []
     for log in logs:
-        for i in _eval_frame_indices(log, stride):
-            features.append(extract_features(log, float(log.t[i])))
-            maps.append(ground_truth_grid(log, i, anchored_spec_at(template, log, i)))
-    return features, maps
+        frames = _eval_frame_indices(log, stride)
+        features.append(extract_features(log, log.t[frames]))
+        maps.append(ground_truth_grid(log, frames, anchored_spec_at(template, log, frames)).cells)
+    return np.concatenate(features), np.concatenate(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +409,8 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
 
     kmeans_seed = int(named_rng(cfg.seed, "train.kmeans").integers(2**31))
     model = kmeans_fit(features, k=cfg.k_actionlets, seed=kmeans_seed)
-    labels = [assign_actionlet(model, f) for f in features]
-    table = estimate_likelihoods(zip(labels, maps), template, cfg.k_actionlets, cfg.smoothing_alpha)
+    labels = assign_actionlet(model, features)
+    table = estimate_likelihoods(labels, maps, template, cfg.k_actionlets, cfg.smoothing_alpha)
     table.validate()
 
     out = Path(cfg.out_dir)
@@ -501,38 +502,45 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
         writer = csv.writer(fh)
         writer.writerow(["episode", "t", "method", "psi", "d_ab_free", "d_ab_occ", "d_ba_free", "d_ba_occ"])
         for ep in eval_idx:
+            # Every layer takes the episode's whole stack of frames at once.
             log = logs[ep]
-            ep_series: dict[str, list[tuple[float, float]]] = {m: [] for m in cfg.eval_methods}
-            for i in _eval_frame_indices(log, cfg.eval_stride):
-                t = float(log.t[i])
-                spec_t = anchored_spec_at(template, log, i)
-                truth = ground_truth_grid(log, i, spec_t)
-                scan = raycast_scan(log.scene_at(i), log.ego_pose(i), cfg.n_beams, cfg.max_range)
-                mask = None
-                if cfg.eval_region == "occluded":
-                    mask = visibility_mask(scan, spec_t)
-                    if not mask.any():
-                        continue
-                base = standard_inverse_update(new_uniform_grid(spec_t), scan)
+            frames = _eval_frame_indices(log, cfg.eval_stride)
+            if len(frames) == 0:
+                continue
+            spec_t = anchored_spec_at(template, log, frames)
+            truth = ground_truth_grid(log, frames, spec_t)
+            scan = raycast_scan(log.scene_at(frames), log.ego_pose(frames), cfg.n_beams, cfg.max_range)
+            mask = None
+            scored = np.ones(len(frames), dtype=bool)
+            if cfg.eval_region == "occluded":
+                mask = visibility_mask(scan, spec_t)
+                scored = mask.any(axis=1)
+                if not scored.any():
+                    continue
+            base = standard_inverse_update(new_uniform_grid(spec_t), scan)
 
-                predictions = {}
-                if "standard" in cfg.eval_methods:
-                    predictions["standard"] = threshold(base, cfg.psi_threshold)
-                if "fused" in cfg.eval_methods:
-                    window = extract_features(log, t)
-                    fused = fuse_action(base, table, assign_actionlet(model, window))
-                    predictions["fused"] = threshold(fused, cfg.psi_threshold)
-                if "truth" in cfg.eval_methods:
-                    predictions["truth"] = truth
+            predictions = {}
+            if "standard" in cfg.eval_methods:
+                predictions["standard"] = threshold(base, cfg.psi_threshold)
+            if "fused" in cfg.eval_methods:
+                windows = extract_features(log, log.t[frames])
+                fused = fuse_action(base, table, assign_actionlet(model, windows))
+                predictions["fused"] = threshold(fused, cfg.psi_threshold)
+            if "truth" in cfg.eval_methods:
+                predictions["truth"] = truth
 
-                for method, predicted in predictions.items():
-                    s = score_pair(predicted, truth, mask)
-                    writer.writerow([int(ep), repr(t), method, repr(s.psi), repr(s.d_ab_free),
-                                     repr(s.d_ab_occ), repr(s.d_ba_free), repr(s.d_ba_occ)])
-                    ep_series[method].append((t, s.psi))
-            for method, ser in ep_series.items():
-                if ser:
-                    series[method].append(ser)
+            # Per method, one (psi, d_ab_free, d_ab_occ, d_ba_free, d_ba_occ) row per frame.
+            rows = {}
+            for method, predicted in predictions.items():
+                s = score_pair(predicted, truth, mask)
+                rows[method] = np.column_stack((s.psi, s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ)).tolist()
+            times = log.t[frames].tolist()
+            kept = np.flatnonzero(scored)
+            for k in kept:
+                for method, scores in rows.items():
+                    writer.writerow([int(ep), repr(times[k]), method, *map(repr, scores[k])])
+            for method, scores in rows.items():
+                series[method].append([(times[k], scores[k][0]) for k in kept])
 
         summary = {
             "mode": "grid",

@@ -4,6 +4,10 @@ The map is a factorized Bernoulli field: each cell carries an independent
 occupancy probability, and the joint probability of a full binary map is
 the product of its per-cell terms.  All operations here are pure functions
 over value-semantic data; updates return new grids.
+
+Grids and maps hold one frame as an ``(n_cells,)`` array or a stack of F
+frames as an ``(F, n_cells)`` array; every operation here works on either
+and checks its inputs once per call, so a single frame is the F = 1 case.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class GridSpec:
     +x, rows advance toward the vehicle (the highest row sits directly in
     front of the bumper) and columns advance to the vehicle's right (the -y
     direction).  ``origin`` is the position of the center of cell (0, 0) in
-    the coordinate frame named by ``frame``.
+    the coordinate frame named by ``frame``; its two coordinates may be
+    ``(F,)`` arrays, one origin per frame of a stack.
 
     Attributes:
         width_cells: number of columns (lateral extent).
@@ -84,11 +89,11 @@ class GridSpec:
         return ox - row * self.resolution, oy - col * self.resolution
 
     def cell_centers(self) -> np.ndarray:
-        """(n_cells, 2) array of cell-center positions in flat-index order."""
-        cols = np.arange(self.n_cells) % self.width_cells
-        rows = np.arange(self.n_cells) // self.width_cells
-        ox, oy = self.origin
-        return np.column_stack((ox - rows * self.resolution, oy - cols * self.resolution))
+        """(n_cells, 2) cell-center positions in flat-index order, or
+        (F, n_cells, 2) for a spec with one origin per frame."""
+        cols, rows = self.cell_coords().T
+        ox, oy = (np.asarray(o, dtype=float)[..., None] for o in self.origin)
+        return np.stack(np.broadcast_arrays(ox - rows * self.resolution, oy - cols * self.resolution), axis=-1)
 
     def cell_coords(self) -> np.ndarray:
         """(n_cells, 2) integer (col, row) coordinates in flat-index order."""
@@ -131,14 +136,15 @@ class GridSpec:
 
 @dataclass
 class OccupancyGrid:
-    """Per-cell occupancy probabilities over a :class:`GridSpec`."""
+    """Per-cell occupancy probabilities over a :class:`GridSpec`, for one
+    frame ``(n_cells,)`` or a stack of frames ``(F, n_cells)``."""
 
     spec: GridSpec
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.shape != (self.spec.n_cells,):
+        if self.probs.ndim not in (1, 2) or self.probs.shape[-1] != self.spec.n_cells:
             raise ValueError(
                 f"expected {self.spec.n_cells} probabilities, got shape {self.probs.shape}"
             )
@@ -150,14 +156,15 @@ class OccupancyGrid:
 
 @dataclass
 class BinaryMap:
-    """A hard {0, 1} occupancy assignment over a :class:`GridSpec`."""
+    """A hard {0, 1} occupancy assignment over a :class:`GridSpec`, for one
+    frame ``(n_cells,)`` or a stack of frames ``(F, n_cells)``."""
 
     spec: GridSpec
     cells: np.ndarray
 
     def __post_init__(self) -> None:
         self.cells = np.asarray(self.cells, dtype=np.int64)
-        if self.cells.shape != (self.spec.n_cells,):
+        if self.cells.ndim not in (1, 2) or self.cells.shape[-1] != self.spec.n_cells:
             raise ValueError(f"expected {self.spec.n_cells} cells, got shape {self.cells.shape}")
         if not np.all((self.cells == 0) | (self.cells == 1)):
             raise ValueError("binary map cells must be 0 or 1")
@@ -200,12 +207,13 @@ def bayes_cell_update(prior, lik_occupied, lik_free):
     return lik_occupied * prior / denom
 
 
-def fuse_action(grid: OccupancyGrid, table: "LikelihoodTable", action: int) -> OccupancyGrid:
-    """Fuse one observed driver action into every cell of the grid.
+def fuse_action(grid: OccupancyGrid, table: "LikelihoodTable", action) -> OccupancyGrid:
+    """Fuse one observed driver action per frame into every cell of the grid.
 
-    Each cell is updated independently by :func:`bayes_cell_update` with
-    the action-likelihood pair the table holds for it.  The input grid is
-    left untouched.
+    ``action`` is one actionlet index, or an ``(F,)`` array of them for a
+    stack of F frames.  Each cell is updated independently by
+    :func:`bayes_cell_update` with the action-likelihood pair the table
+    holds for it.  The input grid is left untouched.
     """
     if not grid.spec.layout_matches(table.spec):
         raise SpecMismatchError(

@@ -19,13 +19,34 @@ from .grid import BinaryMap
 
 @dataclass(frozen=True)
 class PairScore:
-    """Similarity breakdown for one map pair: psi plus its four terms."""
+    """Similarity breakdown for one map pair: psi plus its four terms.
+
+    Floats for one pair of maps; (F,) arrays for a stack of F pairs.
+    """
 
     d_ab_free: float
     d_ab_occ: float
     d_ba_free: float
     d_ba_occ: float
     psi: float
+
+
+def _l1_distance_transform(targets: np.ndarray) -> np.ndarray:
+    """Manhattan distance from every cell to the nearest target cell.
+
+    ``targets`` is a boolean (H, W, S) array of S target sets on an H x W
+    grid; a set without targets stays at inf.  Separable (Felzenszwalb &
+    Huttenlocher): a forward and a backward min-pass along each grid axis,
+    each step one array operation over all S sets.  Every value is an
+    integer, so the float arithmetic is exact.
+    """
+    dist = np.where(np.ascontiguousarray(targets), 0.0, np.inf)  # each pass step: one contiguous block
+    for lines in (dist, dist.swapaxes(0, 1)):  # views: the passes update dist
+        for i in range(1, len(lines)):
+            np.minimum(lines[i], lines[i - 1] + 1.0, out=lines[i])
+        for i in range(len(lines) - 2, -1, -1):
+            np.minimum(lines[i], lines[i + 1] + 1.0, out=lines[i])
+    return dist
 
 
 def score_pair(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> PairScore:
@@ -41,31 +62,33 @@ def score_pair(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> Pa
       (width + height in cells).
 
     ``mask`` is an optional boolean include-mask over flat cell indices;
-    cells outside it are ignored on both sides.  One distance matrix per
-    class serves both directions: its row minima give d(a,b,c) and its
-    column minima d(b,a,c).  Identical maps score 0.0; the score is
-    symmetric in its arguments (fsum makes the total independent of term
-    order).
+    cells outside it are ignored on both sides.  Maps and mask may be
+    (F, n_cells) stacks, scored frame by frame in one call.  The closest
+    class-c cell comes from one L1 distance transform of the four target
+    sets (both classes of both maps) of every frame (Birk & Carpin's psi).
+    Identical maps score 0.0; the score is symmetric in its arguments
+    (fsum makes the total independent of term order).
     """
-    if not a.spec.layout_matches(b.spec):
+    spec = a.spec
+    if not spec.layout_matches(b.spec):
         raise SpecMismatchError("maps have different layouts")
-    include = np.ones(a.spec.n_cells, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if include.shape != (a.spec.n_cells,):
+    include = True if mask is None else np.asarray(mask, dtype=bool)
+    if mask is not None and include.shape[-1:] != (spec.n_cells,):
         raise ValueError("mask shape does not match grid")
-    coords = a.spec.cell_coords()
-    diameter = float(a.spec.width_cells + a.spec.height_cells)
-    terms = []
-    for c in (0, 1):
-        src = coords[(a.cells == c) & include]
-        dst = coords[(b.cells == c) & include]
-        if len(src) == 0 or len(dst) == 0:
-            terms.append((diameter if len(src) else 0.0, diameter if len(dst) else 0.0))
-            continue
-        dist = np.abs(src[:, None, :] - dst[None, :, :]).sum(axis=2)
-        terms.append((float(dist.min(axis=1).mean()), float(dist.min(axis=0).mean())))
-    (d_ab_free, d_ba_free), (d_ab_occ, d_ba_occ) = terms
-    return PairScore(d_ab_free, d_ab_occ, d_ba_free, d_ba_occ,
-                     math.fsum((d_ab_free, d_ab_occ, d_ba_free, d_ba_occ)))
+    # Sources d(a,b,0), d(a,b,1), d(b,a,0), d(b,a,1) and the targets they face.
+    src = np.stack(np.broadcast_arrays(a.cells == 0, a.cells == 1, b.cells == 0, b.cells == 1)) & include
+    dst = src[[2, 3, 0, 1]]
+    n = spec.n_cells
+    targets = dst.reshape(-1, n).T.reshape(spec.height_cells, spec.width_cells, -1)
+    dist = _l1_distance_transform(targets).reshape(n, -1).T.reshape(dst.shape)
+    n_src, n_dst = src.sum(axis=-1), dst.sum(axis=-1)
+    total = np.where(src, dist, 0.0).sum(axis=-1)
+    diameter = float(spec.width_cells + spec.height_cells)
+    terms = np.where(n_src == 0, 0.0, np.where(n_dst == 0, diameter, total / np.maximum(n_src, 1)))
+    psi = [math.fsum(frame) for frame in terms.reshape(4, -1).T.tolist()]
+    if terms.ndim == 1:
+        return PairScore(*terms.tolist(), psi[0])
+    return PairScore(*terms, np.array(psi))
 
 
 def posterior_mass_at_truth(posterior: np.ndarray, truth_index: int) -> float:

@@ -34,9 +34,18 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
+def _per_frame(coordinate) -> np.ndarray:
+    """A scalar or (F,) coordinate as a column that broadcasts against a
+    trailing beam or cell axis."""
+    return np.asarray(coordinate, dtype=float)[..., None]
+
+
 @dataclass(frozen=True)
 class Pose2D:
-    """Planar pose; heading is normalized to (-pi, pi] on construction."""
+    """Planar pose; heading is normalized to (-pi, pi] on construction.
+
+    ``x`` and ``y`` may be (F,) arrays: one position per frame of a stack.
+    """
 
     x: float
     y: float
@@ -45,14 +54,15 @@ class Pose2D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Oriented rectangle: center, half extents along its own axes, heading."""
+    """Oriented rectangle: center, half extents along its own axes, heading.
+
+    Center coordinates may be (F,) arrays, one position per frame of a
+    stack; a NaN center marks a frame the obstacle is absent from, and
+    every beam misses it there.
+    """
 
     center: tuple[float, float]
     half_extents: tuple[float, float]
@@ -74,7 +84,7 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class SceneGeometry:
-    """Static obstacle set for one instant."""
+    """Static obstacle set for one instant, or for each frame of a stack."""
 
     obstacles: tuple[Obstacle, ...] = ()
 
@@ -84,11 +94,13 @@ class SceneGeometry:
 
 @dataclass
 class Scan:
-    """One sweep of range measurements.
+    """One sweep of range measurements, or one per frame of a stack.
 
     Bearings are measured in the sensor frame (relative to ``origin``'s
-    heading), must be strictly increasing and lie in [0, 2*pi).  A beam
-    with ``hit`` False traveled to ``max_range`` without striking anything.
+    heading), must be strictly increasing and lie in [0, 2*pi); every frame
+    shares them.  ``ranges`` and ``hits`` are (n_beams,) for one sweep and
+    (F, n_beams) for a stack.  A beam with ``hit`` False traveled to
+    ``max_range`` without striking anything.
     """
 
     origin: Pose2D
@@ -104,7 +116,7 @@ class Scan:
         n = len(self.bearings)
         if n == 0:
             raise ValueError("scan must contain at least one beam")
-        if self.ranges.shape != (n,) or self.hits.shape != (n,):
+        if self.ranges.shape[-1:] != (n,) or self.hits.shape != self.ranges.shape:
             raise ValueError("bearing/range/hit arrays must share one length")
         if np.any(self.bearings < 0.0) or np.any(self.bearings >= TWO_PI):
             raise ValueError("bearings must lie in [0, 2*pi)")
@@ -116,41 +128,37 @@ class Scan:
             raise ValueError("ranges must lie in [0, max_range]")
 
 
-def _ray_rectangle_t(origin: np.ndarray, directions: np.ndarray, rect: Obstacle) -> np.ndarray:
+def _ray_rectangle_t(ox, oy, dx, dy, rect: Obstacle) -> np.ndarray:
     """Smallest nonnegative ray parameter hitting the rectangle, inf on miss.
 
-    Works on a batch of unit directions, shape (n, 2).  Uses the slab test
-    in the rectangle's own frame.
+    Uses the slab test in the rectangle's own frame, elementwise over
+    broadcast arrays: ray origins ``ox, oy`` (per-frame columns) and the
+    (n_beams,) unit directions ``dx, dy`` every frame shares.  A NaN
+    rectangle center compares false everywhere, so the rectangle is missed.
     """
     c, s = math.cos(rect.heading), math.sin(rect.heading)
-    rot = np.array([[c, s], [-s, c]])  # world -> rectangle frame
-    o = rot @ (origin - np.asarray(rect.center))
-    d = directions @ rot.T
+    vx, vy = ox - _per_frame(rect.center[0]), oy - _per_frame(rect.center[1])
+    o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
+    d0, d1 = dx * c + dy * s, dx * -s + dy * c
 
-    t = np.full(len(directions), np.inf)
     hx, hy = rect.half_extents
     with np.errstate(divide="ignore", invalid="ignore"):
-        tx1 = (-hx - o[0]) / d[:, 0]
-        tx2 = (hx - o[0]) / d[:, 0]
-        ty1 = (-hy - o[1]) / d[:, 1]
-        ty2 = (hy - o[1]) / d[:, 1]
-    # Beams parallel to a slab axis: inside the slab -> (-inf, inf), else miss.
+        tx1 = (-hx - o0) / d0
+        tx2 = (hx - o0) / d0
+        ty1 = (-hy - o1) / d1
+        ty2 = (hy - o1) / d1
     tx_lo, tx_hi = np.minimum(tx1, tx2), np.maximum(tx1, tx2)
     ty_lo, ty_hi = np.minimum(ty1, ty2), np.maximum(ty1, ty2)
-    par_x = d[:, 0] == 0.0
-    inside_x = np.abs(o[0]) <= hx
-    tx_lo[par_x] = -np.inf if inside_x else np.inf
-    tx_hi[par_x] = np.inf if inside_x else -np.inf
-    par_y = d[:, 1] == 0.0
-    inside_y = np.abs(o[1]) <= hy
-    ty_lo[par_y] = -np.inf if inside_y else np.inf
-    ty_hi[par_y] = np.inf if inside_y else -np.inf
+    # Beams parallel to a slab axis: inside the slab -> (-inf, inf), else miss.
+    for lo, hi, parallel, inside in ((tx_lo, tx_hi, d0 == 0.0, np.abs(o0) <= hx),
+                                     (ty_lo, ty_hi, d1 == 0.0, np.abs(o1) <= hy)):
+        lo[..., parallel] = np.where(inside, -np.inf, np.inf)
+        hi[..., parallel] = np.where(inside, np.inf, -np.inf)
 
     t_enter = np.maximum(tx_lo, ty_lo)
     t_exit = np.minimum(tx_hi, ty_hi)
     valid = (t_exit >= t_enter) & (t_exit >= 0.0)
-    t[valid] = np.maximum(t_enter[valid], 0.0)
-    return t
+    return np.where(valid, np.maximum(t_enter, 0.0), np.inf)
 
 
 def raycast_scan(
@@ -163,16 +171,18 @@ def raycast_scan(
 
     Each beam reports the nearest rectangle intersection, capped at
     ``max_range``; beams that strike nothing report ``max_range`` with
-    ``hit`` False.
+    ``hit`` False.  A pose or obstacles holding (F,) positions cast one
+    sweep per frame in one call.
     """
     if n_beams < 1:
         raise ValueError("need at least one beam")
     bearings = TWO_PI * np.arange(n_beams) / n_beams
     world_angles = ego.heading + bearings
-    directions = np.column_stack((np.cos(world_angles), np.sin(world_angles)))
-    t_min = np.full(n_beams, np.inf)
+    dx, dy = np.cos(world_angles), np.sin(world_angles)
+    ox, oy = _per_frame(ego.x), _per_frame(ego.y)
+    t_min = np.full(np.broadcast_shapes(ox.shape, oy.shape, dx.shape), np.inf)
     for rect in scene.obstacles:
-        t_min = np.minimum(t_min, _ray_rectangle_t(ego.xy, directions, rect))
+        t_min = np.minimum(t_min, _ray_rectangle_t(ox, oy, dx, dy, rect))
     hits = t_min <= max_range
     ranges = np.where(hits, t_min, max_range)
     return Scan(ego, bearings, ranges, hits, max_range)
@@ -181,33 +191,28 @@ def raycast_scan(
 def _cell_beam_geometry(scan: Scan, spec: GridSpec):
     """Per-cell range/bearing and the scan beam nearest each cell.
 
-    Returns (cell_range, beam_range, beam_hit, outside) where ``outside``
-    marks cells whose bearing is farther from every beam than one typical
-    beam spacing, i.e. cells the scan does not cover.
+    Returns (cell_range, beam_range, beam_hit, outside) over the cells of
+    every frame, where ``outside`` marks cells whose bearing is farther
+    from every beam than one typical beam spacing, i.e. cells the scan does
+    not cover.
     """
     centers = spec.cell_centers()
-    dx = centers[:, 0] - scan.origin.x
-    dy = centers[:, 1] - scan.origin.y
+    dx = centers[..., 0] - _per_frame(scan.origin.x)
+    dy = centers[..., 1] - _per_frame(scan.origin.y)
     cell_range = np.hypot(dx, dy)
     cell_bearing = np.mod(np.arctan2(dy, dx) - scan.origin.heading, TWO_PI)
 
+    # Candidates for the nearest beam: both neighbours in bearing order and,
+    # across the wrap-around, the first and the last beam.
     bearings = scan.bearings
+    last = len(bearings) - 1
     idx = np.searchsorted(bearings, cell_bearing)
-    cand_hi = np.clip(idx, 0, len(bearings) - 1)
-    cand_lo = np.clip(idx - 1, 0, len(bearings) - 1)
-    first, last = 0, len(bearings) - 1
-
-    def circ_dist(i):
-        d = np.abs(cell_bearing - bearings[i])
-        return np.minimum(d, TWO_PI - d)
-
-    d_hi, d_lo = circ_dist(cand_hi), circ_dist(cand_lo)
-    d_first, d_last = circ_dist(np.full_like(cand_hi, first)), circ_dist(np.full_like(cand_hi, last))
-    stack = np.stack([d_hi, d_lo, d_first, d_last])
-    choices = np.stack([cand_hi, cand_lo, np.full_like(cand_hi, first), np.full_like(cand_hi, last)])
-    best = np.argmin(stack, axis=0)
-    nearest = choices[best, np.arange(len(cell_bearing))]
-    nearest_dist = stack[best, np.arange(len(cell_bearing))]
+    choices = np.stack(np.broadcast_arrays(np.clip(idx, 0, last), np.clip(idx - 1, 0, last), 0, last))
+    d = np.abs(cell_bearing - bearings[choices])
+    dist = np.minimum(d, TWO_PI - d)
+    best = np.argmin(dist, axis=0)[None]  # ties -> the earlier candidate
+    nearest = np.take_along_axis(choices, best, axis=0)[0]
+    nearest_dist = np.take_along_axis(dist, best, axis=0)[0]
 
     if len(bearings) > 1:
         gaps = np.diff(bearings)
@@ -216,7 +221,9 @@ def _cell_beam_geometry(scan: Scan, spec: GridSpec):
         spacing = TWO_PI
     outside = nearest_dist > spacing
 
-    return cell_range, scan.ranges[nearest], scan.hits[nearest], outside
+    beam_range = np.take_along_axis(scan.ranges, nearest, axis=-1)
+    beam_hit = np.take_along_axis(scan.hits, nearest, axis=-1)
+    return cell_range, beam_range, beam_hit, outside
 
 
 def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +234,7 @@ def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
     lies beyond the sensor's maximum range, or when no beam covers its
     bearing.  A cell is hit when its nearest beam terminated within half a
     cell of its center (the cell holding the struck surface itself counts
-    as observed).
+    as observed).  Masks are (F, n_cells) for a stack of F frames.
     """
     cell_range, beam_range, beam_hit, outside = _cell_beam_geometry(scan, spec)
     half = spec.resolution / 2.0
@@ -254,11 +261,12 @@ def standard_inverse_update(
     terminates in gets the occupied update, and occluded cells (exactly
     those flagged by :func:`visibility_mask`) keep their prior untouched.
     The update constants are the posterior a 0.5-prior cell would take,
-    i.e. the cell is updated with likelihood pair (p, 1 - p).
+    i.e. the cell is updated with likelihood pair (p, 1 - p).  A one-frame
+    prior serves as the prior of every frame of a stacked scan.
     """
     occluded, hit = _classify_cells(scan, grid.spec)
     free = ~occluded & ~hit
-    p = grid.probs.copy()
+    p = np.broadcast_to(grid.probs, occluded.shape).copy()
     p[free] = bayes_cell_update(p[free], p_free, 1.0 - p_free)
     p[hit] = bayes_cell_update(p[hit], p_occ, 1.0 - p_occ)
     return OccupancyGrid(grid.spec, p)

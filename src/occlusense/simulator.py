@@ -210,23 +210,26 @@ class EpisodeLog:
     def ego_y(self) -> float:
         return self.config.lane_offset
 
-    def ego_pose(self, frame: int) -> Pose2D:
-        return Pose2D(float(self.ego_x[frame]), self.ego_y, 0.0)
+    def ego_pose(self, frame) -> Pose2D:
+        """Ego pose at one frame, or at each frame of an index array."""
+        return Pose2D(self.ego_x[frame], self.ego_y, 0.0)
 
-    def scene_at(self, frame: int) -> SceneGeometry:
-        """Obstacles visible to the ego at one frame (occluder, pedestrian)."""
+    def scene_at(self, frame) -> SceneGeometry:
+        """Obstacles visible to the ego (occluder, pedestrian) at one frame,
+        or at each frame of an index array.  The pedestrian's center is NaN
+        in frames it is absent from."""
         cfg = self.config
         obstacles = [
             Obstacle(
-                center=(float(self.occ_x[frame]), 0.0),
+                center=(self.occ_x[frame], 0.0),
                 half_extents=(cfg.occluder_length / 2.0, cfg.occluder_width / 2.0),
                 tag="vehicle",
             )
         ]
-        if self.ped_present[frame]:
+        if np.any(self.ped_present[frame]):
             obstacles.append(
                 Obstacle(
-                    center=(self.crosswalk_x, float(self.ped_y[frame])),
+                    center=(self.crosswalk_x, self.ped_y[frame]),
                     half_extents=(cfg.ped_size / 2.0, cfg.ped_size / 2.0),
                     tag="pedestrian",
                 )
@@ -356,13 +359,13 @@ def simulate_batch(config: ScenarioConfig, n_episodes: int, seed: int):
 GRID_FRAMES = ("occluder", "ego", "world")
 
 
-def anchored_spec(template: GridSpec, front_x: float, center_y: float) -> GridSpec:
+def anchored_spec(template: GridSpec, front_x, center_y) -> GridSpec:
     """Anchor a grid template ahead of a +x-facing vehicle.
 
     The grid's near row sits half a cell beyond ``front_x`` and the
     vehicle's centerline falls on the center of column ``(width - 1) // 2``
     (column 2 of the default 6-wide layout), with higher columns to the
-    vehicle's right.
+    vehicle's right.  An (F,) array of positions gives one origin per frame.
     """
     res = template.resolution
     center_col = (template.width_cells - 1) // 2
@@ -370,42 +373,37 @@ def anchored_spec(template: GridSpec, front_x: float, center_y: float) -> GridSp
     return GridSpec(template.width_cells, template.height_cells, res, origin, template.frame)
 
 
-def _anchor_for_frame(log: EpisodeLog, frame: int, frame_id: str) -> tuple[float, float]:
-    if frame_id == "occluder":
-        return float(log.occ_front_x[frame]), 0.0
-    if frame_id == "ego":
-        return float(log.ego_x[frame]), log.ego_y
-    raise ValueError(f"cannot anchor grid frame {frame_id!r}; use one of {GRID_FRAMES}")
-
-
-def anchored_spec_at(template: GridSpec, log: EpisodeLog, frame: int) -> GridSpec:
-    """Concrete world-anchored spec for one log frame, per the template frame."""
+def anchored_spec_at(template: GridSpec, log: EpisodeLog, frame) -> GridSpec:
+    """Concrete world-anchored spec for one log frame, or for each frame of
+    an index array, per the template frame."""
     if template.frame == "world":
         return template
-    fx, cy = _anchor_for_frame(log, frame, template.frame)
-    return anchored_spec(template, fx, cy)
+    if template.frame == "occluder":
+        return anchored_spec(template, log.occ_front_x[frame], 0.0)
+    if template.frame == "ego":
+        return anchored_spec(template, log.ego_x[frame], log.ego_y)
+    raise ValueError(f"cannot anchor grid frame {template.frame!r}; use one of {GRID_FRAMES}")
 
 
-def ground_truth_grid(log: EpisodeLog, frame: int, spec: GridSpec) -> BinaryMap:
-    """True occupancy of the grid at one log frame.
+def ground_truth_grid(log: EpisodeLog, frame, spec: GridSpec) -> BinaryMap:
+    """True occupancy of the grid at one log frame, or at each frame of an
+    index array (one map row per frame).
 
     Cells whose area overlaps the pedestrian footprint are 1, every other
     cell 0; with no pedestrian in the scene the map is all zeros.  ``spec``
-    is already placed for this frame (see :func:`anchored_spec_at`) and is
-    used as given.
+    is already placed for these frames (see :func:`anchored_spec_at`) and
+    is used as given.
     """
-    if not 0 <= frame < log.n_frames:
+    frame = np.asarray(frame)
+    if np.any((frame < 0) | (frame >= log.n_frames)):
         raise ValueError(f"frame {frame} outside episode of {log.n_frames} frames")
-    cells = np.zeros(spec.n_cells, dtype=np.int64)
-    if log.ped_present[frame]:
-        half_ped = log.config.ped_size / 2.0
-        px, py = log.crosswalk_x, float(log.ped_y[frame])
-        centers = spec.cell_centers()
-        half_res = spec.resolution / 2.0
-        overlap_x = (np.abs(centers[:, 0] - px) < half_res + half_ped)
-        overlap_y = (np.abs(centers[:, 1] - py) < half_res + half_ped)
-        cells[overlap_x & overlap_y] = 1
-    return BinaryMap(spec, cells)
+    half_ped = log.config.ped_size / 2.0
+    half_res = spec.resolution / 2.0
+    centers = spec.cell_centers()
+    overlap_x = np.abs(centers[..., 0] - log.crosswalk_x) < half_res + half_ped
+    overlap_y = np.abs(centers[..., 1] - log.ped_y[frame][..., None]) < half_res + half_ped
+    present = log.ped_present[frame][..., None]
+    return BinaryMap(spec, (present & overlap_x & overlap_y).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

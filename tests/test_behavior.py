@@ -6,7 +6,6 @@ import pytest
 from occlusense.behavior import (
     FEATURE_DIM,
     ActionletModel,
-    FeatureWindow,
     LikelihoodTable,
     assign_actionlet,
     estimate_likelihoods,
@@ -17,7 +16,7 @@ from occlusense.behavior import (
     save_model_json,
 )
 from occlusense.errors import SpecMismatchError
-from occlusense.grid import BinaryMap, GridSpec, fuse_action, new_uniform_grid
+from occlusense.grid import GridSpec, fuse_action, new_uniform_grid
 
 
 @dataclass
@@ -42,22 +41,26 @@ def linear_log(v0=5.0, accel=0.0, duration=2.0, rate=20.0, front0=-15.0):
 # feature extraction
 # ---------------------------------------------------------------------------
 
+def split_row(row):
+    """(crosswalk distance, velocity samples, acceleration samples)."""
+    return row[0], row[1:11], row[11:]
+
+
 def test_constant_speed_features():
-    fw = extract_features(linear_log(), t=1.0)
-    assert fw.dist_to_crosswalk == pytest.approx(20.0)  # 10 - (-15 + 5*1)
-    np.testing.assert_allclose(fw.vel_samples, 5.0)
-    np.testing.assert_allclose(fw.acc_samples, 0.0)
-    vec = fw.as_vector()
-    assert vec.shape == (FEATURE_DIM,)
-    assert vec[0] == fw.dist_to_crosswalk
+    row = extract_features(linear_log(), t=1.0)
+    assert row.shape == (FEATURE_DIM,)
+    dist, vel, acc = split_row(row)
+    assert dist == pytest.approx(20.0)  # 10 - (-15 + 5*1)
+    np.testing.assert_allclose(vel, 5.0)
+    np.testing.assert_allclose(acc, 0.0)
 
 
 def test_braking_features_are_linear_ramp():
-    fw = extract_features(linear_log(v0=5.5, accel=-1.0), t=0.5)
-    np.testing.assert_allclose(fw.vel_samples, 5.5 - np.linspace(0.0, 0.5, 10), atol=1e-12)
-    np.testing.assert_allclose(fw.acc_samples, -1.0)
+    _, vel, acc = split_row(extract_features(linear_log(v0=5.5, accel=-1.0), t=0.5))
+    np.testing.assert_allclose(vel, 5.5 - np.linspace(0.0, 0.5, 10), atol=1e-12)
+    np.testing.assert_allclose(acc, -1.0)
     # samples are oldest first
-    assert fw.vel_samples[0] > fw.vel_samples[-1]
+    assert vel[0] > vel[-1]
 
 
 def test_window_coverage_errors():
@@ -75,16 +78,9 @@ def test_slow_log_rejected():
         extract_features(linear_log(rate=10.0), t=1.0)
 
 
-def test_feature_window_shape_validation():
-    with pytest.raises(ValueError):
-        FeatureWindow(1.0, np.zeros(9), np.zeros(10))
-    with pytest.raises(ValueError):
-        FeatureWindow(1.0, np.zeros(10), np.zeros(11))
-
-
 def test_crosswalk_override():
-    fw = extract_features(linear_log(), t=1.0, crosswalk_position=0.0)
-    assert fw.dist_to_crosswalk == pytest.approx(10.0)  # 0 - (-15 + 5*1)
+    row = extract_features(linear_log(), t=1.0, crosswalk_position=0.0)
+    assert row[0] == pytest.approx(10.0)  # 0 - (-15 + 5*1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +157,12 @@ def test_kmeans_input_validation():
 
 
 def test_kmeans_accepts_feature_windows():
-    windows = [
-        FeatureWindow(float(i), np.full(10, float(i)), np.zeros(10)) for i in range(6)
-    ]
+    windows = extract_features(linear_log(accel=-1.0), t=np.arange(0.5, 2.01, 0.25))
+    assert windows.shape == (7, FEATURE_DIM)
     model = kmeans_fit(windows, k=2, seed=0)
     assert model.k == 2
     assert assign_actionlet(model, windows[0]) in (0, 1)
+    assert set(assign_actionlet(model, windows).tolist()) <= {0, 1}
 
 
 def test_assign_tie_breaks_to_lowest_index():
@@ -189,16 +185,15 @@ def test_assign_rejects_bad_shape():
 # likelihood table
 # ---------------------------------------------------------------------------
 
-def one_cell_pairs(n_occ_a0=10, n_occ_a1=8):
-    spec = GridSpec(1, 1)
-    occ = BinaryMap(spec, np.array([1], dtype=np.int8))
-    pairs = [(0, occ)] * n_occ_a0 + [(1, occ)] * n_occ_a1
-    return spec, pairs
+def one_cell_samples(n_occ_a0=10, n_occ_a1=8):
+    """(spec, labels, maps) of a one-cell grid that is always occupied."""
+    labels = np.array([0] * n_occ_a0 + [1] * n_occ_a1)
+    return GridSpec(1, 1), labels, np.ones((len(labels), 1), dtype=np.int64)
 
 
 def test_laplace_smoothing_hand_case():
-    spec, pairs = one_cell_pairs()
-    table = estimate_likelihoods(pairs, spec, n_actions=2, alpha=1.0)
+    spec, labels, maps = one_cell_samples()
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
     # entries[cell, action, occupancy]
     assert table.entries[0, 0, 1] == pytest.approx(11.0 / 20.0)
     assert table.entries[0, 1, 1] == pytest.approx(9.0 / 20.0)
@@ -210,10 +205,8 @@ def test_laplace_smoothing_hand_case():
 
 
 def test_alpha_zero_gives_exact_frequencies():
-    spec = GridSpec(1, 1)
-    occ = BinaryMap(spec, np.array([1], dtype=np.int8))
-    pairs = [(0, occ)] * 4 + [(1, occ)] * 1
-    table = estimate_likelihoods(pairs, spec, n_actions=2, alpha=0.0)
+    spec, labels, maps = one_cell_samples(4, 1)
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=0.0)
     assert table.entries[0, 0, 1] == 0.8
     assert table.entries[0, 1, 1] == 0.2
     # unobserved state falls back to uniform rather than 0/0
@@ -221,8 +214,8 @@ def test_alpha_zero_gives_exact_frequencies():
 
 
 def test_likelihood_arrays_and_bounds():
-    spec, pairs = one_cell_pairs()
-    table = estimate_likelihoods(pairs, spec, n_actions=3)
+    spec, labels, maps = one_cell_samples()
+    table = estimate_likelihoods(labels, maps, spec, n_actions=3)
     lik_occ, lik_free = table.action_likelihood_arrays(0)
     assert lik_occ[0] == table.entries[0, 0, 1]
     assert lik_free[0] == table.entries[0, 0, 0]
@@ -233,27 +226,24 @@ def test_likelihood_arrays_and_bounds():
 
 def test_estimation_input_validation():
     spec = GridSpec(1, 1)
-    occ = BinaryMap(spec, np.array([1], dtype=np.int8))
+    occ = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(ValueError):
-        estimate_likelihoods([(5, occ)], spec, n_actions=2)
+        estimate_likelihoods([5], occ, spec, n_actions=2)
+    with pytest.raises(ValueError):
+        estimate_likelihoods([0, 1], occ, spec, n_actions=2)  # one label per map
     with pytest.raises(SpecMismatchError):
-        other = BinaryMap(GridSpec(2, 1), np.array([1, 0], dtype=np.int8))
-        estimate_likelihoods([(0, other)], spec, n_actions=2)
+        estimate_likelihoods([0], np.array([[1, 0]]), spec, n_actions=2)
     with pytest.raises(ValueError):
-        estimate_likelihoods([], spec, n_actions=0)
+        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([], spec, n_actions=2, alpha=-0.5)
+        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=2, alpha=-0.5)
 
 
 def test_table_informative_for_correlated_cell_only():
     rng = np.random.default_rng(11)
     spec = GridSpec(2, 1)
-    pairs = []
-    for _ in range(400):
-        c0 = int(rng.integers(2))
-        c1 = int(rng.integers(2))
-        pairs.append((c0, BinaryMap(spec, np.array([c0, c1], dtype=np.int8))))
-    table = estimate_likelihoods(pairs, spec, n_actions=2)
+    maps = rng.integers(0, 2, size=(400, 2))
+    table = estimate_likelihoods(maps[:, 0], maps, spec, n_actions=2)  # the action is cell 0's state
     fused = fuse_action(new_uniform_grid(spec), table, action=1)
     assert fused.probs[0] > 0.6          # the action encodes this cell's state
     assert abs(fused.probs[1] - 0.5) < 0.1   # independent cell stays near prior
@@ -276,8 +266,8 @@ def test_actionlet_model_json_round_trip(tmp_path):
 
 
 def test_likelihood_table_json_round_trip(tmp_path):
-    spec, pairs = one_cell_pairs()
-    table = estimate_likelihoods(pairs, spec, n_actions=2)
+    spec, labels, maps = one_cell_samples()
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     loaded = load_likelihood_table(str(path))
@@ -288,8 +278,8 @@ def test_likelihood_table_json_round_trip(tmp_path):
 
 
 def test_loaders_reject_wrong_kind(tmp_path):
-    spec, pairs = one_cell_pairs()
-    table = estimate_likelihoods(pairs, spec, n_actions=2)
+    spec, labels, maps = one_cell_samples()
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     with pytest.raises(ValueError):

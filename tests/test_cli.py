@@ -348,6 +348,9 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("eval", "grid.width = 0"),
     ("eval", "region.step = 0"),
     ("eval", "region.x_min = 10"),
+    ("train", "logit.reg = -1"),
+    ("train", "train.split = 1.5"),
+    ("train", "sim.n_episodes = 0"),
 ])
 def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"

@@ -96,6 +96,28 @@ def test_masked_terms_match_brute_force_oracle():
         assert score_pair(a, b, mask).psi == brute_force_psi(a, b, mask)
 
 
+def test_stacked_terms_match_brute_force_oracle_per_frame():
+    rng = np.random.default_rng(5)
+    n_frames = 16
+    for _ in range(25):
+        w, h = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        spec = GridSpec(w, h)
+
+        def stack(shares):
+            # Per-frame occupied shares of 0 and 1 give maps missing a class.
+            return rng.random((n_frames, spec.n_cells)) < rng.choice(shares, size=(n_frames, 1))
+
+        a, b = stack([0.0, 0.2, 0.5, 1.0]).astype(int), stack([0.0, 0.2, 0.5, 1.0]).astype(int)
+        masks = stack([0.0, 0.3, 1.0])  # each frame its own mask: empty, sparse or full
+        for mask in (masks, None):
+            score = score_pair(bmap(spec, a), bmap(spec, b), mask)
+            for k in range(n_frames):
+                ak, bk, mk = bmap(spec, a[k]), bmap(spec, b[k]), None if mask is None else mask[k]
+                got = (score.d_ab_free[k], score.d_ab_occ[k], score.d_ba_free[k], score.d_ba_occ[k])
+                assert got == oracle_terms(ak, bk, mk)
+                assert score.psi[k] == brute_force_psi(ak, bk, mk)
+
+
 # ---------------------------------------------------------------------------
 # psi (score_pair)
 # ---------------------------------------------------------------------------
