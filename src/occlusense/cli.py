@@ -392,7 +392,7 @@ def cmd_train(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> No
 
 def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
     manifest.add_input(dataset)
-    _, logs = read_episodes(dataset)
+    logs = read_episodes(dataset)
     train_idx, eval_idx = split_episodes(len(logs), cfg.train_split, cfg.seed)
     manifest.counters["episodes_total"] = len(logs)
     manifest.counters["episodes_train"] = len(train_idx)
@@ -467,7 +467,7 @@ def cmd_eval(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models
 
 def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models_dir: str | None) -> None:
     manifest.add_input(dataset)
-    _, logs = read_episodes(dataset)
+    logs = read_episodes(dataset)
     _, eval_idx = split_episodes(len(logs), cfg.train_split, cfg.seed)
     manifest.counters["episodes_eval"] = len(eval_idx)
 

@@ -32,7 +32,7 @@ from .grid import BinaryMap, GridSpec
 from .perception import Obstacle, Pose2D, SceneGeometry
 from .seeds import named_seed_sequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class PedestrianBehavior(Enum):
@@ -176,14 +176,13 @@ class EpisodeLog:
     """Time series of one episode at the configured log rate.
 
     Positions are centers; the occluder's front bumper is available as
-    ``occ_front_x``.  Pedestrian columns are NaN wherever ``ped_present``
-    is False.  Scene geometry is derived on demand from the stored states
-    rather than persisted per frame.
+    ``occ_front_x``.  ``ped_y`` is NaN and ``ped_speed`` 0 wherever
+    ``ped_present`` is False.  Scene geometry is derived on demand from the
+    stored states rather than persisted per frame.
     """
 
     t: np.ndarray
     ego_x: np.ndarray
-    ego_speed: np.ndarray
     occ_x: np.ndarray
     occ_speed: np.ndarray
     occ_accel: np.ndarray
@@ -324,11 +323,9 @@ def run_episode(scenario: Scenario) -> EpisodeLog:
 
     t_arr = np.arange(n) * dt
     ego_x = (cfg.crosswalk_x - scenario.d0 - half_len) - cfg.ego_gap + scenario.ego_speed * t_arr
-    ego_speed = np.full(n, scenario.ego_speed)
     return EpisodeLog(
         t=t_arr,
         ego_x=ego_x,
-        ego_speed=ego_speed,
         occ_x=occ_x,
         occ_speed=occ_speed,
         occ_accel=occ_accel,
@@ -414,9 +411,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: The :class:`EpisodeLog` signals a dataset record holds, one array each.
+#: ``ped_y`` is null in frames without a pedestrian, and the reader derives
+#: ``ped_present`` from those nulls.
+_COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_y", "ped_speed")
+
+
 def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_episodes: int) -> int:
-    """Write a JSONL dataset: one file header, then per-episode header and
-    frame records.  Returns the number of episodes written."""
+    """Write a JSONL dataset: one file header, then one record per episode
+    with an array per logged signal.  Returns the number of episodes written."""
     count = 0
     with open(path, "w") as fh:
         fh.write(_dump({
@@ -427,91 +430,57 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
             "config": asdict(config),
         }) + "\n")
         for index, (scenario, log) in enumerate(episodes):
-            fh.write(_dump({
-                "type": "episode",
-                "index": index,
-                "behavior": scenario.behavior.value,
-                "scenario": scenario.to_dict(),
-            }) + "\n")
-            for i in range(log.n_frames):
-                ped = None
-                if log.ped_present[i]:
-                    ped = [log.crosswalk_x, float(log.ped_y[i]), float(log.ped_speed[i])]
-                fh.write(_dump({
-                    "type": "frame",
-                    "t": float(log.t[i]),
-                    "ego": [float(log.ego_x[i]), log.ego_y, 0.0, float(log.ego_speed[i])],
-                    "occ": [float(log.occ_x[i]), 0.0, 0.0, float(log.occ_speed[i]), float(log.occ_accel[i])],
-                    "ped": ped,
-                }) + "\n")
+            record = {"type": "episode", "index": index, "behavior": scenario.behavior.value,
+                      "scenario": scenario.to_dict()}
+            for name in _COLUMNS:
+                record[name] = getattr(log, name).tolist()
+            record["ped_y"] = np.where(log.ped_present, log.ped_y, None).tolist()
+            fh.write(_dump(record) + "\n")
             count += 1
     return count
 
 
-def read_episodes(path: str) -> tuple[ScenarioConfig, list[EpisodeLog]]:
+def read_episodes(path: str) -> list[EpisodeLog]:
     """Read a dataset written by :func:`write_episodes`.
 
-    A dataset must hold the header's ``n_episodes`` episodes, indexed 0 to
-    n - 1 in order, each with the frame count its duration implies at the
-    log rate, so a file cut at a line boundary is rejected.
+    A dataset must start with a schema-2 header and hold the header's
+    ``n_episodes`` episodes, indexed 0 to n - 1 in order, each with the
+    frame count its duration implies at the log rate in every column, so a
+    file cut anywhere is rejected.
     """
+    header = None
+    logs: list[EpisodeLog] = []
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if header is None:
+                    header, config = rec, _header_config(path, rec)
+                else:
+                    logs.append(_episode_log(path, config, len(logs), rec))
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    if not lines:
+    if header is None:
         raise DataError(f"{path}: empty dataset")
+    if len(logs) != header.get("n_episodes"):
+        raise DataError(f"{path}: {len(logs)} episodes, but the header declares "
+                        f"{header.get('n_episodes')!r}")
+    return logs
 
-    header = _parse_record(path, 1, lines[0])
-    if header.get("type") != "header":
+
+def _header_config(path: str, header) -> ScenarioConfig:
+    if not isinstance(header, dict) or header.get("type") != "header":
         raise DataError(f"{path}: first record must be the dataset header")
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise DataError(f"{path}: dataset has schema_version {header.get('schema_version')!r}, "
+                        f"but only {SCHEMA_VERSION} is read; re-run simulate to rewrite it")
     try:
-        config = ScenarioConfig(**_config_kwargs(header["config"]))
+        return ScenarioConfig(**_config_kwargs(header["config"]))
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: bad config in header: {exc}") from exc
-
-    episodes: list[EpisodeLog] = []
-    current: dict | None = None
-    frames: list[dict] = []
-
-    def flush() -> None:
-        if current is not None:
-            if current.get("index") != len(episodes):
-                raise DataError(f"{path}: episode index {current.get('index')!r} where "
-                                f"{len(episodes)} was expected")
-            episodes.append(_log_from_records(path, config, current, frames))
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = _parse_record(path, lineno, line)
-        kind = rec.get("type")
-        if kind == "episode":
-            flush()
-            current = rec
-            frames = []
-        elif kind == "frame":
-            if current is None:
-                raise DataError(f"{path}:{lineno}: frame record before any episode header")
-            frames.append(rec)
-        else:
-            raise DataError(f"{path}:{lineno}: unknown record type {kind!r}")
-    flush()
-    if len(episodes) != header.get("n_episodes"):
-        raise DataError(f"{path}: {len(episodes)} episodes, but the header declares "
-                        f"{header.get('n_episodes')!r}")
-    return config, episodes
-
-
-def _parse_record(path: str, lineno: int, line: str) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise DataError(f"{path}:{lineno}: record must be a JSON object")
-    return rec
 
 
 def _config_kwargs(d: dict) -> dict:
@@ -522,13 +491,15 @@ def _config_kwargs(d: dict) -> dict:
     return kwargs
 
 
-def _log_from_records(path: str, config: ScenarioConfig, episode: dict, frames: list[dict]) -> EpisodeLog:
+def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeLog:
     try:
-        sc = episode["scenario"]
+        if rec["index"] != index:
+            raise DataError(f"{path}: episode index {rec['index']!r} where {index} was expected")
+        sc = rec["scenario"]
         scenario = Scenario(
             d0=float(sc["d0"]),
             v0=float(sc["v0"]),
-            behavior=PedestrianBehavior(episode["behavior"]),
+            behavior=PedestrianBehavior(rec["behavior"]),
             ped_speed=float(sc["ped_speed"]),
             t_appear=float(sc["t_appear"]),
             duration=float(sc["duration"]),
@@ -536,33 +507,13 @@ def _log_from_records(path: str, config: ScenarioConfig, episode: dict, frames: 
             noise_seed=int(sc["noise_seed"]),
             config=config,
         )
-        n = len(frames)
-        if n != scenario.n_frames:
-            raise DataError(f"{path}: episode {episode['index']} has {n} frames; "
-                            f"its duration needs {scenario.n_frames}")
-        t = np.array([f["t"] for f in frames], dtype=float)
-        ego = np.array([f["ego"] for f in frames], dtype=float)
-        occ = np.array([f["occ"] for f in frames], dtype=float)
-        ped_present = np.array([f["ped"] is not None for f in frames], dtype=bool)
-        ped_y = np.full(n, np.nan)
-        ped_speed = np.zeros(n)
-        for i, f in enumerate(frames):
-            if f["ped"] is not None:
-                ped_y[i] = float(f["ped"][1])
-                ped_speed[i] = float(f["ped"][2])
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        columns = {name: np.array(rec[name], dtype=float) for name in _COLUMNS}
+    except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: malformed episode record: {exc}") from exc
-    return EpisodeLog(
-        t=t,
-        ego_x=ego[:, 0],
-        ego_speed=ego[:, 3],
-        occ_x=occ[:, 0],
-        occ_speed=occ[:, 3],
-        occ_accel=occ[:, 4],
-        ped_present=ped_present,
-        ped_y=ped_y,
-        ped_speed=ped_speed,
-        behavior=scenario.behavior,
-        crosswalk_x=config.crosswalk_x,
-        scenario=scenario,
-    )
+    for name, values in columns.items():
+        if values.shape != (scenario.n_frames,):
+            raise DataError(f"{path}: episode {index} has {values.size} {name} values; "
+                            f"its duration needs {scenario.n_frames} frames")
+    return EpisodeLog(**columns, ped_present=~np.isnan(columns["ped_y"]),
+                      behavior=scenario.behavior, crosswalk_x=config.crosswalk_x,
+                      scenario=scenario)

@@ -311,13 +311,30 @@ def test_eval_rejects_models_that_do_not_belong_together(grid_run, tmp_path, ext
 
 
 def test_truncated_dataset_exits_2(grid_run, tmp_path):
-    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    text = (grid_run / "dataset.jsonl").read_text()
     truncated = tmp_path / "dataset.jsonl"
-    truncated.write_text("\n".join(lines[:-1]) + "\n")
+    truncated.write_text(text[: text.rindex("\n", 0, -1) + 100])  # cut inside the last episode
     out = tmp_path / "eval"
     assert main(["eval", "--dataset", str(truncated), "--models", str(grid_run),
                  "--seed", "11", "--out", str(out)]) == 2
-    assert "frames" in manifest(out, "eval")["error"]
+    assert ":11: invalid JSON" in manifest(out, "eval")["error"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_schema_1_dataset_exits_2(grid_run, tmp_path, command):
+    header = json.loads((grid_run / "dataset.jsonl").read_text().splitlines()[0])
+    header["schema_version"] = 1
+    records = [header, {"type": "episode", "index": 0},
+               {"type": "frame", "t": 0.0, "ego": [0.0, 3.5, 0.0, 4.0],
+                "occ": [0.0, 0.0, 0.0, 5.0, 0.0], "ped": None}]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / command
+    argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 2
+    assert "schema_version 1" in manifest(out, command)["error"]
 
 
 def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_config_validation():
 def test_batch_determinism_bit_identical():
     for (sa, la), (sb, lb) in zip(batch(5, seed=42), batch(5, seed=42)):
         assert sa.to_dict() == sb.to_dict()
-        for name in ("t", "ego_x", "ego_speed", "occ_x", "occ_speed",
+        for name in ("t", "ego_x", "occ_x", "occ_speed",
                      "occ_accel", "ped_present", "ped_speed"):
             assert np.array_equal(getattr(la, name), getattr(lb, name)), name
         assert np.array_equal(la.ped_y, lb.ped_y, equal_nan=True)
@@ -143,7 +145,6 @@ def test_ego_constant_velocity():
     log = run_episode(fixed_scenario(PedestrianBehavior.BOLD_CROSS))
     T = log.t[-1] - log.t[0]
     assert log.ego_x[-1] - log.ego_x[0] == pytest.approx(log.scenario.ego_speed * T, abs=1e-9)
-    assert np.all(log.ego_speed == log.scenario.ego_speed)
 
 
 def test_kinematic_consistency():
@@ -269,12 +270,12 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "episodes.jsonl"
     n = write_episodes(str(path), episodes, cfg, seed=9, n_episodes=4)
     assert n == 4
-    cfg2, logs = read_episodes(str(path))
-    assert cfg2 == cfg
+    logs = read_episodes(str(path))
+    assert logs[0].config == cfg
     assert len(logs) == 4
     for (_, orig), loaded in zip(episodes, logs):
         assert loaded.behavior is orig.behavior
-        for name in ("t", "ego_x", "ego_speed", "occ_x", "occ_speed",
+        for name in ("t", "ego_x", "occ_x", "occ_speed",
                      "occ_accel", "ped_present", "ped_speed"):
             assert np.array_equal(getattr(orig, name), getattr(loaded, name)), name
         assert np.array_equal(orig.ped_y, loaded.ped_y, equal_nan=True)
@@ -296,14 +297,26 @@ def test_read_rejects_malformed(tmp_path):
         read_episodes(str(tmp_path / "missing.jsonl"))
 
 
-def test_read_rejects_frame_before_episode(tmp_path):
+def test_read_rejects_schema_1_dataset(tmp_path):
     cfg = ScenarioConfig()
     path = tmp_path / "episodes.jsonl"
     write_episodes(str(path), batch(1, seed=1, config=cfg), cfg, seed=1, n_episodes=1)
-    lines = path.read_text().splitlines()
-    # drop the episode header so a frame arrives first
-    path.write_text("\n".join([lines[0]] + lines[2:]) + "\n")
-    with pytest.raises(DataError):
+    header, record = map(json.loads, path.read_text().splitlines())
+    header["schema_version"] = 1
+    # schema 1: an episode header, then one record per frame
+    lines = [header, {"type": "episode", "index": 0, "behavior": record["behavior"],
+                      "scenario": record["scenario"]}]
+    for i, t in enumerate(record["t"]):
+        ped_y = record["ped_y"][i]
+        lines.append({
+            "type": "frame",
+            "t": t,
+            "ego": [record["ego_x"][i], cfg.lane_offset, 0.0, record["scenario"]["ego_speed"]],
+            "occ": [record["occ_x"][i], 0.0, 0.0, record["occ_speed"][i], record["occ_accel"][i]],
+            "ped": None if ped_y is None else [cfg.crosswalk_x, ped_y, record["ped_speed"][i]],
+        })
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(DataError, match="schema_version 1"):
         read_episodes(str(path))
 
 
@@ -315,37 +328,32 @@ def write_dataset(tmp_path, n):
     return path, path.read_text().splitlines()
 
 
-def episode_starts(lines):
-    return [i for i, line in enumerate(lines) if '"type":"episode"' in line]
-
-
 def test_read_rejects_dataset_cut_after_a_whole_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 3)
-    path.write_text("\n".join(lines[:episode_starts(lines)[2]]) + "\n")
+    path.write_text("\n".join(lines[:3]) + "\n")
     with pytest.raises(DataError, match="header declares 3"):
         read_episodes(str(path))
 
 
 def test_read_rejects_dataset_cut_inside_an_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 2)
-    path.write_text("\n".join(lines[:-5]) + "\n")
-    with pytest.raises(DataError, match="episode 1 has"):
+    path.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]))
+    with pytest.raises(DataError, match=":3: invalid JSON"):
         read_episodes(str(path))
 
 
 def test_read_rejects_episodes_out_of_order(tmp_path):
     path, lines = write_dataset(tmp_path, 2)
-    first, second = episode_starts(lines)
-    path.write_text("\n".join([lines[0]] + lines[second:] + lines[first:second]) + "\n")
+    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(DataError, match="index 1"):
         read_episodes(str(path))
 
 
 def test_read_rejects_episode_without_frames(tmp_path):
-    cfg = ScenarioConfig()
-    path = tmp_path / "episodes.jsonl"
-    write_episodes(str(path), batch(1, seed=1, config=cfg), cfg, seed=1, n_episodes=1)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2]) + "\n")
-    with pytest.raises(DataError):
+    path, (header, line) = write_dataset(tmp_path, 1)
+    record = json.loads(line)
+    record["occ_speed"].pop()
+    path.write_text(header + "\n" + json.dumps(record) + "\n")
+    n = len(record["t"])
+    with pytest.raises(DataError, match=f"{n - 1} occ_speed values; its duration needs {n} frames"):
         read_episodes(str(path))
