@@ -276,7 +276,7 @@ class ManifestWriter:
         self.out_dir = out_dir
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
-        self.counters: dict[str, float] = {}
+        self.counters: dict[str, float | str] = {}
         self.started = time.time()
 
     def add_input(self, path: str | Path) -> None:
@@ -455,6 +455,8 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
         save_logit_model(model, str(tmp))
     manifest.add_output(model_path)
     manifest.counters["logit_iterations"] = len(model.loglik_history)
+    manifest.counters["logit_stop_reason"] = model.stop_reason
+    manifest.counters["logit_grad_norm"] = model.grad_norm
     print(f"train: fit action model on {len(samples)} samples; model in {out}")
 
 
@@ -581,13 +583,12 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     # The posterior depends only on the observed action: one per action seen.
     posteriors: dict[SemanticAction, np.ndarray] = {}
     masses: dict[SemanticAction, list[float]] = {a: [] for a in SemanticAction}
-    skipped_outside = 0
-    for r in records:
-        if r["clip_id"] not in eval_clips or not r["occluded"]:
-            continue
-        truth_idx = region.locate((r["x"], r["y"]), tol=cfg.region_step / 2.0)
-        if truth_idx is None:
-            skipped_outside += 1
+    targets = [r for r in records if r["clip_id"] in eval_clips and r["occluded"]]
+    truth = region.locate(np.array([(r["x"], r["y"]) for r in targets]).reshape(-1, 2),
+                          tol=cfg.region_step / 2.0)
+    skipped_outside = int(np.count_nonzero(truth < 0))
+    for r, truth_idx in zip(targets, truth):
+        if truth_idx < 0:
             continue
         action = r["action"]
         if action not in posteriors:

@@ -21,6 +21,8 @@ import numpy as np
 SCHEMA_VERSION = 1
 FEATURE_MAP_ID = "bias_x_y_range"
 N_FEATURES = 4
+#: Points per chunk of a batched :meth:`OccludedRegion.locate`.
+LOCATE_CHUNK = 64
 
 
 class SemanticAction(Enum):
@@ -68,13 +70,23 @@ def position_features(xy: np.ndarray) -> np.ndarray:
     return np.column_stack((np.ones(len(xy)), xy[:, 0], xy[:, 1], norm))
 
 
-def _softmax(weights: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-max-shifted scores ``phi @ weights.T``, their log-normalizers and softmax."""
-    scores = phi @ weights.T
-    scores -= scores.max(axis=1, keepdims=True)
+def _features_t(xy: np.ndarray) -> np.ndarray:
+    """C-contiguous (features, m) transpose of :func:`position_features`."""
+    return np.ascontiguousarray(position_features(xy).T)
+
+
+def _softmax(weights: np.ndarray, phi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-max-shifted scores ``weights @ phi_t``, their log-normalizers and softmax.
+
+    ``phi_t`` is the C-contiguous (features, m) transpose of the feature
+    rows, so the scores and probabilities are (actions, m) and every
+    reduction runs along the short leading axis over long contiguous rows.
+    """
+    scores = weights @ phi_t
+    scores -= scores.max(axis=0)
     e = np.exp(scores)
-    total = e.sum(axis=1, keepdims=True)
-    return scores, np.log(total[:, 0]), e / total
+    total = e.sum(axis=0)
+    return scores, np.log(total), e / total
 
 
 @dataclass
@@ -84,6 +96,11 @@ class LogitModel:
     weights: np.ndarray
     reg: float
     loglik_history: list[float] = field(default_factory=list)
+    #: Why :func:`fit_logit` stopped (``tolerance``, ``max_iters``,
+    #: ``zero_gradient`` or ``line_search``) and the gradient norm there;
+    #: fit diagnostics, not part of the saved model.
+    stop_reason: str | None = None
+    grad_norm: float | None = None
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
@@ -92,7 +109,7 @@ class LogitModel:
 
     def predict_proba(self, xy: np.ndarray) -> np.ndarray:
         """(m, 5) action distributions for (m, 2) positions."""
-        return _softmax(self.weights, position_features(xy))[2]
+        return _softmax(self.weights, _features_t(xy))[2].T
 
     def to_dict(self) -> dict:
         return {
@@ -145,30 +162,47 @@ def _coerce_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _loglik_and_probs(weights, phi, labels, reg: float) -> tuple[float, np.ndarray]:
-    """Regularized log-likelihood at ``weights`` and the softmax it came from."""
-    scores, log_norm, probs = _softmax(weights, phi)
-    picked = scores[np.arange(len(labels)), labels]
+def _label_cells(labels) -> np.ndarray:
+    """Flat index of each sample's label in an (actions, m) array, in sample order."""
+    labels = np.asarray(labels)
+    return labels * len(labels) + np.arange(len(labels))
+
+
+def _onehot(cells: np.ndarray) -> np.ndarray:
+    """(actions, m) indicator of the samples' labels, from :func:`_label_cells`."""
+    onehot = np.zeros((N_ACTIONS, len(cells)))
+    onehot.flat[cells] = 1.0
+    return onehot
+
+
+def _loglik_and_probs(weights, phi_t, cells, reg: float) -> tuple[float, np.ndarray]:
+    """Regularized log-likelihood at ``weights`` and the (actions, m) softmax it came from."""
+    scores, log_norm, probs = _softmax(weights, phi_t)
+    picked = np.take(scores, cells)
     return float((picked - log_norm).sum() - 0.5 * reg * np.sum(weights**2)), probs
 
 
-def _gradient(weights, phi, labels, probs, reg: float) -> np.ndarray:
-    """Gradient of the regularized log-likelihood, given the softmax at ``weights``."""
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return (onehot - probs).T @ phi - reg * weights
+def _gradient(weights, phi, onehot, probs, reg: float) -> np.ndarray:
+    """Gradient of the regularized log-likelihood, given the softmax at ``weights``.
+
+    The (actions, m) residual is written Fortran-ordered, so its product
+    with the (m, features) rows ``phi`` is the same BLAS call, and gives the
+    same bits, as the row-layout ``(onehot - probs).T @ phi``.
+    """
+    return np.subtract(onehot, probs, order="F") @ phi - reg * weights
 
 
 def regularized_loglik(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg: float) -> float:
     """Sum log-likelihood of the labels minus (reg/2) ||W||^2."""
-    return _loglik_and_probs(np.asarray(weights, dtype=float), position_features(xy), labels, reg)[0]
+    return _loglik_and_probs(np.asarray(weights, dtype=float), _features_t(xy), _label_cells(labels), reg)[0]
 
 
 def loglik_gradient(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg: float) -> np.ndarray:
     """Analytic gradient of :func:`regularized_loglik` in ``weights``."""
     weights = np.asarray(weights, dtype=float)
     phi = position_features(xy)
-    return _gradient(weights, phi, labels, _softmax(weights, phi)[2], reg)
+    probs = _softmax(weights, np.ascontiguousarray(phi.T))[2]
+    return _gradient(weights, phi, _onehot(_label_cells(labels)), probs, reg)
 
 
 def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e-9) -> LogitModel:
@@ -179,7 +213,8 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
     reaches it.  Trial steps follow the Barzilai-Borwein rule (position
     features are far from isotropic, and a fixed step crawls), backtracked
     until the Armijo condition holds.  The log-likelihood is recorded per
-    iteration and asserted non-decreasing.
+    iteration and asserted non-decreasing.  The returned model records why
+    the ascent stopped and the gradient norm at its weights.
 
     Raises:
         ValueError: when ``reg`` is negative, or zero while every sample
@@ -191,26 +226,34 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
     if reg == 0.0 and len(np.unique(y)) == 1:
         raise ValueError("all samples share one action: use reg > 0 to keep the fit bounded")
 
+    # Fixed inputs: rows for the gradient product, their transpose for the
+    # softmax, and where each label sits in the (actions, m) layout.
     phi = position_features(X)
+    phi_t = np.ascontiguousarray(phi.T)
+    cells = _label_cells(y)
+    onehot = _onehot(cells)
     W = np.zeros((N_ACTIONS, N_FEATURES))
-    val, probs = _loglik_and_probs(W, phi, y, reg)
+    val, probs = _loglik_and_probs(W, phi_t, cells, reg)
     history = [val]
-    grad = _gradient(W, phi, y, probs, reg)
+    grad = _gradient(W, phi, onehot, probs, reg)
     step = 1.0 / max(1.0, float(np.abs(phi).sum()))
+    reason = "max_iters"
     for _ in range(max_iters):
         g2 = float(np.sum(grad**2))
         if g2 <= 1e-18:
+            reason = "zero_gradient"
             break
         # Armijo backtracking on the ascent direction.
         while step > 1e-16:
             cand = W + step * grad
-            val, probs = _loglik_and_probs(cand, phi, y, reg)
+            val, probs = _loglik_and_probs(cand, phi_t, cells, reg)
             if val >= history[-1] + 1e-4 * step * g2:
                 break
             step *= 0.5
         else:
+            reason = "line_search"
             break
-        cand_grad = _gradient(cand, phi, y, probs, reg)
+        cand_grad = _gradient(cand, phi, onehot, probs, reg)
         # Barzilai-Borwein trial step for the next iteration.
         s = cand - W
         delta = grad - cand_grad
@@ -223,8 +266,9 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000, tol: float = 1e
         gain = val - history[-1]
         history.append(val)
         if gain < tol * max(1.0, abs(val)):
+            reason = "tolerance"
             break
-    return LogitModel(W, reg, history)
+    return LogitModel(W, reg, history, stop_reason=reason, grad_norm=float(np.sqrt(np.sum(grad**2))))
 
 
 @dataclass(frozen=True)
@@ -253,12 +297,30 @@ class OccludedRegion:
         gx, gy = np.meshgrid(xs, ys)
         return cls(np.column_stack((gx.ravel(), gy.ravel())))
 
-    def locate(self, xy, tol: float) -> int | None:
-        """Index of the candidate within ``tol`` of a point, else None."""
+    def locate(self, xy, tol: float) -> int | np.ndarray | None:
+        """Index of the candidate nearest a point in max-norm, if within ``tol``.
+
+        A (2,) point gives an ``int``, or ``None`` when no candidate lies
+        within ``tol``.  (m, 2) points give an int64 array with -1 for those.
+        Ties go to the first candidate.  Batches are computed in chunks of
+        ``LOCATE_CHUNK`` points, which bounds the (chunk, n) temporaries.
+        """
         xy = np.asarray(xy, dtype=float)
-        d = np.abs(self.candidates - xy).max(axis=1)
-        idx = int(np.argmin(d))
-        return idx if d[idx] <= tol else None
+        if xy.ndim not in (1, 2) or xy.shape[-1] != 2:
+            raise ValueError("locate takes a (2,) point or (m, 2) points")
+        pts = xy.reshape(-1, 2)
+        cand_x, cand_y = np.ascontiguousarray(self.candidates.T)
+        found = np.empty(len(pts), dtype=np.int64)
+        for start in range(0, len(pts), LOCATE_CHUNK):
+            chunk = pts[start:start + LOCATE_CHUNK]
+            d = np.abs(cand_x - chunk[:, :1])
+            np.maximum(d, np.abs(cand_y - chunk[:, 1:]), out=d)
+            best = d.argmin(axis=1)
+            within = d[np.arange(len(best)), best] <= tol
+            found[start:start + len(chunk)] = np.where(within, best, -1)
+        if xy.ndim == 2:
+            return found
+        return int(found[0]) if found[0] >= 0 else None
 
 
 def posterior_over_region(model: LogitModel, region: OccludedRegion,

@@ -514,6 +514,10 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
         if values.shape != (scenario.n_frames,):
             raise DataError(f"{path}: episode {index} has {values.size} {name} values; "
                             f"its duration needs {scenario.n_frames} frames")
+        # Only ped_y may be null (pedestrian absent); null reads as NaN.
+        if name != "ped_y" and np.isnan(values).any():
+            raise DataError(f"{path}: episode {index} has a null {name} value at frame "
+                            f"{int(np.argmax(np.isnan(values)))}")
     return EpisodeLog(**columns, ped_present=~np.isnan(columns["ped_y"]),
                       behavior=scenario.behavior, crosswalk_x=config.crosswalk_x,
                       scenario=scenario)

@@ -337,6 +337,22 @@ def test_schema_1_dataset_exits_2(grid_run, tmp_path, command):
     assert "schema_version 1" in manifest(out, command)["error"]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_null_outside_ped_y_exits_2(grid_run, tmp_path, command):
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["occ_x"][5] = None
+    lines[3] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / command
+    argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 2
+    assert "episode 2 has a null occ_x value at frame 5" in manifest(out, command)["error"]
+
+
 def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     def broken_score(*args, **kwargs):
         raise RuntimeError("scoring failed")
@@ -501,6 +517,22 @@ def test_train_landmark_writes_model(tmp_path):
     assert json.loads((out / "logit.json").read_text())["kind"] == "logit_model"
 
 
+def test_train_landmark_reports_why_the_fit_stopped(tmp_path):
+    ds = landmark_dataset(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("logit.max_iters = 5\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--config", str(cfg),
+                 "--seed", "0", "--out", str(out)]) == 0
+    counters = manifest(out, "train")["counters"]
+    assert counters["logit_stop_reason"] == "max_iters"
+    assert counters["logit_iterations"] == 6
+    assert counters["logit_grad_norm"] > 0.0
+    # the diagnostics stay out of the model file
+    assert set(json.loads((out / "logit.json").read_text())) == {
+        "schema_version", "kind", "feature_map", "weights", "reg"}
+
+
 def test_train_landmark_single_clip_exits_2(tmp_path):
     ds = write_jsonl(tmp_path / "one.jsonl",
                      [landmark_record("only", 0.0, 2.0, "stopped", False)])
@@ -563,6 +595,21 @@ def test_eval_landmark_computes_one_posterior_per_action(tmp_path, monkeypatch):
     summary = json.loads((out / "eval_summary.json").read_text())
     assert summary["evaluated_samples"] == 5
     assert sorted(a.name.lower() for a in calls) == sorted(summary["actions"]) == ["decelerating", "stopped"]
+
+
+@pytest.mark.parametrize("occluded", [True, False])
+def test_eval_landmark_with_nothing_to_score_exits_2(tmp_path, occluded):
+    """Occluded records all outside the region, or no occluded record at all."""
+    records = [landmark_record(clip, 50.0 + i, 50.0, "stopped", occluded)
+               for clip in ("a", "b") for i in range(3)]
+    ds = write_jsonl(tmp_path / "landmarks.jsonl", records)
+    models = tmp_path / "models"
+    models.mkdir()
+    save_logit_model(LogitModel(np.zeros((5, 4)), reg=0.01), str(models / "logit.json"))
+    out = tmp_path / "out"
+    assert main(["eval", "--dataset", str(ds), "--mode", "landmark", "--models", str(models),
+                 "--out", str(out)]) == 2
+    assert "no occluded samples inside the candidate region" in manifest(out, "eval")["error"]
 
 
 def test_eval_landmark_without_models_exits_1(tmp_path):

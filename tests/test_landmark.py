@@ -100,10 +100,81 @@ def test_history_is_monotone():
         assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
 
+def row_layout_fit(xy, labels, reg, max_iters, tol=1e-9):
+    """The ascent of :func:`fit_logit` on (samples, actions) scores.
+
+    The softmax reduces along each 5-wide row and the gradient is
+    ``(onehot - probs).T @ phi``; the (actions, samples) layout must give
+    the same weights and history bit for bit.
+    """
+    phi = position_features(xy)
+    rows = np.arange(len(labels))
+
+    def loglik_and_probs(W):
+        scores = phi @ W.T
+        scores -= scores.max(axis=1, keepdims=True)
+        e = np.exp(scores)
+        total = e.sum(axis=1, keepdims=True)
+        picked = scores[rows, labels]
+        return float((picked - np.log(total[:, 0])).sum() - 0.5 * reg * np.sum(W**2)), e / total
+
+    def gradient(W, probs):
+        onehot = np.zeros_like(probs)
+        onehot[rows, labels] = 1.0
+        return (onehot - probs).T @ phi - reg * W
+
+    W = np.zeros((N_ACTIONS, N_FEATURES))
+    val, probs = loglik_and_probs(W)
+    history = [val]
+    grad = gradient(W, probs)
+    step = 1.0 / max(1.0, float(np.abs(phi).sum()))
+    for _ in range(max_iters):
+        g2 = float(np.sum(grad**2))
+        if g2 <= 1e-18:
+            break
+        while step > 1e-16:
+            cand = W + step * grad
+            val, probs = loglik_and_probs(cand)
+            if val >= history[-1] + 1e-4 * step * g2:
+                break
+            step *= 0.5
+        else:
+            break
+        cand_grad = gradient(cand, probs)
+        s = cand - W
+        delta = grad - cand_grad
+        s_delta = float(np.sum(s * delta))
+        step = float(np.sum(s * s)) / s_delta if s_delta > 0.0 else step * 2.0
+        step = min(max(step, 1e-12), 1e6)
+        W, grad = cand, cand_grad
+        gain = val - history[-1]
+        history.append(val)
+        if gain < tol * max(1.0, abs(val)):
+            break
+    return W, history
+
+
+@pytest.mark.parametrize("reg", [0.05, 0.0])
+@pytest.mark.parametrize("max_iters, reason", [(7, "max_iters"), (5000, "tolerance")])
+def test_fit_is_bit_identical_to_row_layout(reg, max_iters, reason):
+    rng = np.random.default_rng(21)
+    xy = np.column_stack((rng.uniform(-3, 3, 300), rng.uniform(1, 25, 300)))
+    labels = np.minimum((xy[:, 1] // 6).astype(np.int64), N_ACTIONS - 1)
+    noisy = rng.random(300) < 0.2
+    labels[noisy] = rng.integers(0, N_ACTIONS, noisy.sum())
+    model = fit_logit(list(zip(xy, labels)), reg=reg, max_iters=max_iters)
+    weights, history = row_layout_fit(xy, labels, reg, max_iters)
+    assert model.stop_reason == reason
+    assert np.array_equal(model.weights, weights)
+    assert model.loglik_history == history
+    assert model.grad_norm == float(np.sqrt(np.sum(loglik_gradient(weights, xy, labels, reg) ** 2)))
+
+
 def test_no_positional_signal_stays_uniform():
     pos = np.tile([2.0, 7.0], (25, 1))
     labels = np.repeat(np.arange(N_ACTIONS), 5)
     model = fit_logit(list(zip(pos, labels)), reg=0.01)
+    assert model.stop_reason == "zero_gradient"
     probs = model.predict_proba(np.array([[2.0, 7.0], [-4.0, 12.0]]))
     np.testing.assert_array_equal(probs, 0.2)
 
@@ -190,6 +261,44 @@ def test_region_from_grid_lattice():
         OccludedRegion.from_grid(0.0, 2.0, 0.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         OccludedRegion(np.zeros((0, 2)))
+
+
+def locate_reference(candidates, points, tol):
+    """Per-point max-norm argmin, -1 where the nearest candidate is beyond ``tol``."""
+    found = []
+    for point in points:
+        d = np.abs(candidates - point).max(axis=1)
+        idx = int(np.argmin(d))
+        found.append(idx if d[idx] <= tol else -1)
+    return np.array(found, dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 200])
+def test_batched_locate_matches_per_point_argmin(m):
+    region = OccludedRegion.from_grid(-3.0, 3.0, 1.0, 25.0, 0.5)
+    rng = np.random.default_rng(m)
+    # Some points fall outside the lattice by more than the tolerance.
+    points = rng.uniform([-4.0, 0.0], [4.0, 26.0], (m, 2))
+    # Every third point sits midway between two candidates: an exact tie.
+    pairs = rng.integers(0, region.n - 1, m)
+    points[::3] = (region.candidates[pairs[::3]] + region.candidates[pairs[::3] + 1]) / 2.0
+    found = region.locate(points, tol=0.25)
+    assert found.dtype == np.int64 and found.shape == (m,)
+    np.testing.assert_array_equal(found, locate_reference(region.candidates, points, 0.25))
+    for point, idx in zip(points, found):
+        assert region.locate(point, tol=0.25) == (None if idx < 0 else idx)
+
+
+def test_locate_ties_go_to_the_first_candidate_and_misses_to_minus_one():
+    region = OccludedRegion(np.array([[0.0, 5.0], [0.5, 5.0], [0.0, 5.5], [0.5, 5.5]]))
+    assert region.locate([0.25, 5.0], tol=0.25) == 0
+    assert region.locate([0.25, 5.25], tol=0.25) == 0
+    assert region.locate([0.5, 5.25], tol=0.25) == 1
+    assert region.locate([9.0, 9.0], tol=0.25) is None
+    np.testing.assert_array_equal(region.locate([[0.5, 5.25], [9.0, 9.0], [0.25, 5.5]], tol=0.25),
+                                  [1, -1, 2])
+    with pytest.raises(ValueError):
+        region.locate([1.0, 2.0, 3.0], tol=0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -357,3 +357,13 @@ def test_read_rejects_episode_without_frames(tmp_path):
     n = len(record["t"])
     with pytest.raises(DataError, match=f"{n - 1} occ_speed values; its duration needs {n} frames"):
         read_episodes(str(path))
+
+
+@pytest.mark.parametrize("column", ["t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_speed"])
+def test_read_rejects_null_outside_ped_y(tmp_path, column):
+    path, (header, first, second) = write_dataset(tmp_path, 2)
+    record = json.loads(second)
+    record[column][5] = None
+    path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
+    with pytest.raises(DataError, match=f"episode 1 has a null {column} value at frame 5"):
+        read_episodes(str(path))
