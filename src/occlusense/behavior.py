@@ -27,7 +27,7 @@ MIN_LOG_RATE = 20.0
 SCHEMA_VERSION = 1
 
 
-def extract_features(log, t, crosswalk_position: float | None = None) -> np.ndarray:
+def extract_features(log, t) -> np.ndarray:
     """Summarize the occluder's trajectory around time ``t``.
 
     ``log`` is any episode-log-like object exposing ``t`` (timestamps),
@@ -57,9 +57,8 @@ def extract_features(log, t, crosswalk_position: float | None = None) -> np.ndar
     sample_times = np.linspace(t - WINDOW_SECONDS, t, SAMPLES_PER_SIGNAL, axis=-1)
     vel = np.interp(sample_times, times, np.asarray(log.occ_speed, dtype=float))
     acc = np.interp(sample_times, times, np.asarray(log.occ_accel, dtype=float))
-    crosswalk = log.crosswalk_x if crosswalk_position is None else crosswalk_position
     front = np.interp(t, times, np.asarray(log.occ_front_x, dtype=float))
-    return np.concatenate((np.expand_dims(crosswalk - front, -1), vel, acc), axis=-1)
+    return np.concatenate((np.expand_dims(log.crosswalk_x - front, -1), vel, acc), axis=-1)
 
 
 @dataclass
@@ -295,20 +294,19 @@ def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: fl
     if maps.shape[1] != spec.n_cells:
         raise SpecMismatchError(f"training maps have {maps.shape[1]} cells; the table spec has {spec.n_cells}")
 
-    entries = np.empty((spec.n_cells, n_actions, 2))
-    sample_counts = np.empty((spec.n_cells, 2), dtype=np.int64)
-    for c in (0, 1):
-        in_state = (maps == c).astype(np.int64)  # (samples, cells)
-        per_action = np.zeros((n_actions, spec.n_cells), dtype=np.int64)
-        np.add.at(per_action, labels, in_state)
-        state_counts = in_state.sum(axis=0)
-        sample_counts[:, c] = state_counts
-        denom = state_counts + alpha * n_actions
-        with np.errstate(invalid="ignore", divide="ignore"):
-            probs = (per_action + alpha) / denom
-        probs = np.where(denom > 0.0, probs, 1.0 / n_actions)
-        entries[:, :, c] = probs.T
-    return LikelihoodTable(spec, entries, sample_counts, alpha)
+    if maps.size and (maps.min() < 0 or maps.max() > 1):
+        raise ValueError("training maps must hold 0 or 1")
+
+    # counts[c, a, i]: samples labelled a with cell i in state c.
+    counts = np.empty((2, n_actions, spec.n_cells), dtype=np.int64)
+    counts[1] = [maps[labels == a].sum(axis=0) for a in range(n_actions)]
+    counts[0] = np.bincount(labels, minlength=n_actions)[:, None] - counts[1]
+    sample_counts = counts.sum(axis=1)  # (2, n_cells)
+    denom = sample_counts[:, None, :] + alpha * n_actions
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = (counts + alpha) / denom
+    probs = np.where(denom > 0.0, probs, 1.0 / n_actions)
+    return LikelihoodTable(spec, probs.transpose(2, 1, 0), sample_counts.T, alpha)
 
 
 def save_model_json(obj, path: str) -> None:

@@ -580,20 +580,18 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     region = cfg.region()
     prior = 1.0 / region.n
 
-    # The posterior depends only on the observed action: one per action seen.
-    posteriors: dict[SemanticAction, np.ndarray] = {}
-    masses: dict[SemanticAction, list[float]] = {a: [] for a in SemanticAction}
     targets = [r for r in records if r["clip_id"] in eval_clips and r["occluded"]]
     truth = region.locate(np.array([(r["x"], r["y"]) for r in targets]).reshape(-1, 2),
                           tol=cfg.region_step / 2.0)
     skipped_outside = int(np.count_nonzero(truth < 0))
-    for r, truth_idx in zip(targets, truth):
-        if truth_idx < 0:
-            continue
-        action = r["action"]
-        if action not in posteriors:
-            posteriors[action] = posterior_over_region(model, region, action)
-        masses[action].append(posterior_mass_at_truth(posteriors[action], truth_idx))
+    observed = np.array([r["action"].value for r in targets], dtype=np.int64)
+    # The posterior depends only on the observed action: one per action seen.
+    masses: dict[SemanticAction, np.ndarray] = {}
+    for action in SemanticAction:
+        scored = (truth >= 0) & (observed == action.value)
+        if scored.any():
+            masses[action] = posterior_mass_at_truth(posterior_over_region(model, region, action),
+                                                     truth[scored])
     evaluated = sum(map(len, masses.values()))
     if evaluated == 0:
         raise DataError("no occluded samples inside the candidate region to evaluate")
@@ -603,8 +601,6 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     table_path = out / "eval_actions.csv"
     rows = []
     for action, vals in masses.items():
-        if not vals:
-            continue
         mean, se = mean_and_se(vals)
         rows.append({
             "action": action.name.lower(),

@@ -144,14 +144,11 @@ def load_logit_model(path: str) -> LogitModel:
 
 def _coerce_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     xs, labels = [], []
-    for state, action in samples:
-        if isinstance(state, LandmarkState):
-            xs.append([state.x, state.y])
-        else:
-            arr = np.asarray(state, dtype=float)
-            if arr.shape != (2,):
-                raise ValueError("positions must be 2D")
-            xs.append(arr.tolist())
+    for position, action in samples:
+        arr = np.asarray(position, dtype=float)
+        if arr.shape != (2,):
+            raise ValueError("positions must be 2D")
+        xs.append(arr.tolist())
         labels.append(action.value if isinstance(action, SemanticAction) else int(action))
     X = np.array(xs, dtype=float)
     y = np.array(labels, dtype=np.int64)

@@ -91,14 +91,21 @@ def score_pair(a: BinaryMap, b: BinaryMap, mask: np.ndarray | None = None) -> Pa
     return PairScore(*terms, np.array(psi))
 
 
-def posterior_mass_at_truth(posterior: np.ndarray, truth_index: int) -> float:
-    """Probability mass a candidate posterior assigns to the true candidate."""
+def posterior_mass_at_truth(posterior: np.ndarray, truth_index: int | np.ndarray) -> float | np.ndarray:
+    """Probability mass a candidate posterior assigns to the true candidate.
+
+    One candidate index gives a ``float``; an array of indices gives the
+    mass at each of them.
+    """
     posterior = np.asarray(posterior, dtype=float)
     if posterior.ndim != 1 or len(posterior) == 0:
         raise ValueError("posterior must be a nonempty 1D distribution")
-    if not (0 <= truth_index < len(posterior)):
-        raise ValueError(f"truth index {truth_index} outside region of {len(posterior)} candidates")
-    return float(posterior[truth_index])
+    index = np.asarray(truth_index)
+    outside = (index < 0) | (index >= len(posterior))
+    if np.any(outside):
+        raise ValueError(f"truth index {index[outside][0]} outside region of {len(posterior)} candidates")
+    mass = posterior[index]
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def improvement_ratio(p_ours: float, p_prior: float) -> float:

@@ -1,9 +1,9 @@
 """Simulated range sensing and the standard occupancy baseline.
 
-A planar lidar is ray-cast against oriented rectangular obstacles.  Grid
-cells are then classified visible or occluded by comparing each cell
-center's range against the beam nearest to it in bearing, and visible
-cells are updated with a fixed inverse sensor model.
+A planar lidar casts n evenly spaced beams against oriented rectangular
+obstacles.  Grid cells are then classified visible or occluded by comparing
+each cell center's range against the beam nearest to it in bearing, and
+visible cells are updated with a fixed inverse sensor model.
 """
 
 from __future__ import annotations
@@ -94,34 +94,26 @@ class SceneGeometry:
 
 @dataclass
 class Scan:
-    """One sweep of range measurements, or one per frame of a stack.
+    """One full sweep of n evenly spaced beams, or one sweep per frame.
 
-    Bearings are measured in the sensor frame (relative to ``origin``'s
-    heading), must be strictly increasing and lie in [0, 2*pi); every frame
-    shares them.  ``ranges`` and ``hits`` are (n_beams,) for one sweep and
-    (F, n_beams) for a stack.  A beam with ``hit`` False traveled to
-    ``max_range`` without striking anything.
+    Beam i points at bearing ``2*pi*i/n`` in the sensor frame (relative to
+    ``origin``'s heading), so beam 0 looks straight ahead.  ``ranges`` and
+    ``hits`` are (n,) for one sweep and (F, n) for a stack.  A beam with
+    ``hit`` False traveled to ``max_range`` without striking anything.
     """
 
     origin: Pose2D
-    bearings: np.ndarray
     ranges: np.ndarray
     hits: np.ndarray
     max_range: float
 
     def __post_init__(self) -> None:
-        self.bearings = np.asarray(self.bearings, dtype=float)
         self.ranges = np.asarray(self.ranges, dtype=float)
         self.hits = np.asarray(self.hits, dtype=bool)
-        n = len(self.bearings)
-        if n == 0:
+        if self.ranges.ndim == 0 or self.ranges.shape[-1] == 0:
             raise ValueError("scan must contain at least one beam")
-        if self.ranges.shape[-1:] != (n,) or self.hits.shape != self.ranges.shape:
-            raise ValueError("bearing/range/hit arrays must share one length")
-        if np.any(self.bearings < 0.0) or np.any(self.bearings >= TWO_PI):
-            raise ValueError("bearings must lie in [0, 2*pi)")
-        if np.any(np.diff(self.bearings) <= 0.0):
-            raise ValueError("bearings must be strictly increasing")
+        if self.hits.shape != self.ranges.shape:
+            raise ValueError("range and hit arrays must share one shape")
         if not (self.max_range > 0.0):
             raise ValueError("max_range must be positive")
         if np.any(self.ranges < 0.0) or np.any(self.ranges > self.max_range + 1e-9):
@@ -185,63 +177,37 @@ def raycast_scan(
         t_min = np.minimum(t_min, _ray_rectangle_t(ox, oy, dx, dy, rect))
     hits = t_min <= max_range
     ranges = np.where(hits, t_min, max_range)
-    return Scan(ego, bearings, ranges, hits, max_range)
-
-
-def _cell_beam_geometry(scan: Scan, spec: GridSpec):
-    """Per-cell range/bearing and the scan beam nearest each cell.
-
-    Returns (cell_range, beam_range, beam_hit, outside) over the cells of
-    every frame, where ``outside`` marks cells whose bearing is farther
-    from every beam than one typical beam spacing, i.e. cells the scan does
-    not cover.
-    """
-    centers = spec.cell_centers()
-    dx = centers[..., 0] - _per_frame(scan.origin.x)
-    dy = centers[..., 1] - _per_frame(scan.origin.y)
-    cell_range = np.hypot(dx, dy)
-    cell_bearing = np.mod(np.arctan2(dy, dx) - scan.origin.heading, TWO_PI)
-
-    # Candidates for the nearest beam: both neighbours in bearing order and,
-    # across the wrap-around, the first and the last beam.
-    bearings = scan.bearings
-    last = len(bearings) - 1
-    idx = np.searchsorted(bearings, cell_bearing)
-    choices = np.stack(np.broadcast_arrays(np.clip(idx, 0, last), np.clip(idx - 1, 0, last), 0, last))
-    d = np.abs(cell_bearing - bearings[choices])
-    dist = np.minimum(d, TWO_PI - d)
-    best = np.argmin(dist, axis=0)[None]  # ties -> the earlier candidate
-    nearest = np.take_along_axis(choices, best, axis=0)[0]
-    nearest_dist = np.take_along_axis(dist, best, axis=0)[0]
-
-    if len(bearings) > 1:
-        gaps = np.diff(bearings)
-        spacing = float(np.median(np.append(gaps, TWO_PI - (bearings[-1] - bearings[0]))))
-    else:
-        spacing = TWO_PI
-    outside = nearest_dist > spacing
-
-    beam_range = np.take_along_axis(scan.ranges, nearest, axis=-1)
-    beam_hit = np.take_along_axis(scan.hits, nearest, axis=-1)
-    return cell_range, beam_range, beam_hit, outside
+    return Scan(ego, ranges, hits, max_range)
 
 
 def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The occlusion rule: (occluded, hit) masks over flat cell indices.
 
-    A cell is occluded when the beam nearest its bearing terminated on an
-    obstacle more than half a cell nearer than the cell center, when it
-    lies beyond the sensor's maximum range, or when no beam covers its
-    bearing.  A cell is hit when its nearest beam terminated within half a
-    cell of its center (the cell holding the struck surface itself counts
-    as observed).  Masks are (F, n_cells) for a stack of F frames.
+    Each cell is judged by the beam nearest its bearing: beam
+    ``rint(bearing / (2*pi/n)) mod n``, which rounds half to even, so a
+    cell exactly midway between two beams takes the even-numbered one.  A
+    cell is occluded when that beam terminated on an obstacle more than
+    half a cell nearer than the cell center, or when it missed and the cell
+    lies beyond the sensor's maximum range.  A cell is hit when its beam
+    terminated within half a cell of its center (the cell holding the struck
+    surface itself counts as observed).  Masks are (F, n_cells) for a stack
+    of F frames.
     """
-    cell_range, beam_range, beam_hit, outside = _cell_beam_geometry(scan, spec)
+    n = scan.ranges.shape[-1]
+    centers = spec.cell_centers()
+    dx = centers[..., 0] - _per_frame(scan.origin.x)
+    dy = centers[..., 1] - _per_frame(scan.origin.y)
+    cell_range = np.hypot(dx, dy)
+    cell_bearing = np.mod(np.arctan2(dy, dx) - scan.origin.heading, TWO_PI)
+    nearest = np.rint(cell_bearing / (TWO_PI / n)).astype(np.intp) % n
+    beam_range = np.take_along_axis(scan.ranges, nearest, axis=-1)
+    beam_hit = np.take_along_axis(scan.hits, nearest, axis=-1)
+
     half = spec.resolution / 2.0
     behind_hit = beam_hit & (cell_range > beam_range + half)
     beyond_range = ~beam_hit & (cell_range > scan.max_range)
     hit = beam_hit & (np.abs(cell_range - beam_range) <= half)
-    return behind_hit | beyond_range | outside, hit
+    return behind_hit | beyond_range, hit
 
 
 def visibility_mask(scan: Scan, spec: GridSpec) -> np.ndarray:
@@ -249,24 +215,20 @@ def visibility_mask(scan: Scan, spec: GridSpec) -> np.ndarray:
     return _classify_cells(scan, spec)[0]
 
 
-def standard_inverse_update(
-    grid: OccupancyGrid,
-    scan: Scan,
-    p_occ: float = P_OCC_UPDATE,
-    p_free: float = P_FREE_UPDATE,
-) -> OccupancyGrid:
+def standard_inverse_update(grid: OccupancyGrid, scan: Scan) -> OccupancyGrid:
     """Classical inverse-sensor update of every directly observed cell.
 
-    Cells a beam passes through get the free update, the cell the beam
-    terminates in gets the occupied update, and occluded cells (exactly
-    those flagged by :func:`visibility_mask`) keep their prior untouched.
-    The update constants are the posterior a 0.5-prior cell would take,
-    i.e. the cell is updated with likelihood pair (p, 1 - p).  A one-frame
-    prior serves as the prior of every frame of a stacked scan.
+    Cells a beam passes through get the free update ``P_FREE_UPDATE``, the
+    cell the beam terminates in gets the occupied update ``P_OCC_UPDATE``,
+    and occluded cells (exactly those flagged by :func:`visibility_mask`)
+    keep their prior untouched.  The update constants are the posterior a
+    0.5-prior cell would take, i.e. the cell is updated with likelihood pair
+    (p, 1 - p).  A one-frame prior serves as the prior of every frame of a
+    stacked scan.
     """
     occluded, hit = _classify_cells(scan, grid.spec)
     free = ~occluded & ~hit
     p = np.broadcast_to(grid.probs, occluded.shape).copy()
-    p[free] = bayes_cell_update(p[free], p_free, 1.0 - p_free)
-    p[hit] = bayes_cell_update(p[hit], p_occ, 1.0 - p_occ)
+    p[free] = bayes_cell_update(p[free], P_FREE_UPDATE, 1.0 - P_FREE_UPDATE)
+    p[hit] = bayes_cell_update(p[hit], P_OCC_UPDATE, 1.0 - P_OCC_UPDATE)
     return OccupancyGrid(grid.spec, p)

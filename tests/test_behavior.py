@@ -78,11 +78,6 @@ def test_slow_log_rejected():
         extract_features(linear_log(rate=10.0), t=1.0)
 
 
-def test_crosswalk_override():
-    row = extract_features(linear_log(), t=1.0, crosswalk_position=0.0)
-    assert row[0] == pytest.approx(10.0)  # 0 - (-15 + 5*1)
-
-
 # ---------------------------------------------------------------------------
 # k-means vocabulary
 # ---------------------------------------------------------------------------
@@ -213,6 +208,26 @@ def test_alpha_zero_gives_exact_frequencies():
     assert table.entries[0, 0, 0] == 0.5
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.0, 0.37])
+def test_counts_match_a_per_sample_tally(alpha):
+    rng = np.random.default_rng(12)
+    spec = GridSpec(3, 4)
+    labels = rng.choice([0, 1, 3], size=200)  # action 2 never occurs
+    maps = (rng.random((200, spec.n_cells)) < 0.3).astype(np.int64)
+    maps[:, 5] = 1  # one cell never free
+    table = estimate_likelihoods(labels, maps, spec, n_actions=4, alpha=alpha)
+    counts = np.zeros((spec.n_cells, 4, 2), dtype=np.int64)
+    for label, cells in zip(labels, maps):
+        counts[np.arange(spec.n_cells), label, cells] += 1
+    state_counts = counts.sum(axis=1)
+    assert np.array_equal(table.sample_counts, state_counts)
+    for i in range(spec.n_cells):
+        for c in (0, 1):
+            denom = state_counts[i, c] + alpha * 4
+            want = (counts[i, :, c] + alpha) / denom if denom > 0 else np.full(4, 0.25)
+            assert np.array_equal(table.entries[i, :, c], want)
+
+
 def test_likelihood_arrays_and_bounds():
     spec, labels, maps = one_cell_samples()
     table = estimate_likelihoods(labels, maps, spec, n_actions=3)
@@ -233,6 +248,8 @@ def test_estimation_input_validation():
         estimate_likelihoods([0, 1], occ, spec, n_actions=2)  # one label per map
     with pytest.raises(SpecMismatchError):
         estimate_likelihoods([0], np.array([[1, 0]]), spec, n_actions=2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        estimate_likelihoods([0], np.array([[2]]), spec, n_actions=2)
     with pytest.raises(ValueError):
         estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=0)
     with pytest.raises(ValueError):

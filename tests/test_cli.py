@@ -540,6 +540,32 @@ def test_train_landmark_single_clip_exits_2(tmp_path):
     assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "unknown_action"])
+def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
+    ds = landmark_dataset(tmp_path)
+    lines = ds.read_text().splitlines()
+    record = json.loads(lines[2])
+    if defect == "malformed_json":
+        lines[2] = lines[2][:-1]
+    elif defect == "missing_x":
+        del record["x"]
+        lines[2] = json.dumps(record)
+    else:
+        record["action"] = "cartwheeling"
+        lines[2] = json.dumps(record)
+    ds.write_text("\n".join(lines) + "\n")
+    models = tmp_path / "models"
+    models.mkdir()
+    save_logit_model(LogitModel(np.zeros((5, 4)), reg=0.01), str(models / "logit.json"))
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(ds), "--mode", "landmark", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(models)]
+    assert main(argv) == 2
+    assert f"{ds}:3: bad landmark record" in manifest(out, command)["error"]
+
+
 def test_eval_landmark_uniform_model_matches_prior_exactly(tmp_path):
     """A zero-weight model is uninformative, so posterior mass equals the prior.
 

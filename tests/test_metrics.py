@@ -187,6 +187,18 @@ def test_mass_index_bounds():
         posterior_mass_at_truth(np.array([0.5, 0.5]), 2)
     with pytest.raises(ValueError):
         posterior_mass_at_truth(np.array([0.5, 0.5]), -1)
+    with pytest.raises(ValueError, match="truth index 2 outside"):
+        posterior_mass_at_truth(np.array([0.5, 0.5]), np.array([0, 2, 1]))
+    with pytest.raises(ValueError):
+        posterior_mass_at_truth(np.array([0.5, 0.5]), np.array([-1]))
+
+
+def test_mass_at_index_array_matches_single_indices():
+    posterior = np.array([0.1, 0.2, 0.3, 0.4])
+    index = np.array([3, 0, 3, 2])
+    masses = posterior_mass_at_truth(posterior, index)
+    assert masses.tolist() == [posterior_mass_at_truth(posterior, int(i)) for i in index]
+    assert posterior_mass_at_truth(posterior, np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_improvement_ratio_cases():

@@ -55,8 +55,7 @@ def test_empty_scene_all_misses():
     scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=8, max_range=10.0)
     assert not scan.hits.any()
     assert np.all(scan.ranges == 10.0)
-    assert len(scan.bearings) == 8
-    assert scan.bearings[0] == 0.0
+    assert scan.ranges.shape == scan.hits.shape == (8,)
 
 
 def test_unit_square_ahead_hits_at_front_face():
@@ -106,24 +105,19 @@ def test_raycast_matches_independent_sampler():
 # ---------------------------------------------------------------------------
 
 def test_scan_validation_errors():
-    b = np.array([0.0, 1.0, 2.0])
     r = np.array([1.0, 2.0, 3.0])
     h = np.array([True, False, True])
-    Scan(ORIGIN, b, r, h, 5.0)  # sanity: this one is fine
+    Scan(ORIGIN, r, h, 5.0)  # sanity: this one is fine
     with pytest.raises(ValueError):
-        Scan(ORIGIN, b[::-1].copy(), r, h, 5.0)
+        Scan(ORIGIN, r[:2], h, 5.0)
     with pytest.raises(ValueError):
-        Scan(ORIGIN, np.array([0.0, 1.0, 7.0]), r, h, 5.0)
+        Scan(ORIGIN, np.array([]), np.array([], dtype=bool), 5.0)
     with pytest.raises(ValueError):
-        Scan(ORIGIN, b, r[:2], h, 5.0)
+        Scan(ORIGIN, np.array([1.0, -0.1, 3.0]), h, 5.0)
     with pytest.raises(ValueError):
-        Scan(ORIGIN, np.array([]), np.array([]), np.array([], dtype=bool), 5.0)
+        Scan(ORIGIN, np.array([1.0, 2.0, 6.0]), h, 5.0)
     with pytest.raises(ValueError):
-        Scan(ORIGIN, b, np.array([1.0, -0.1, 3.0]), h, 5.0)
-    with pytest.raises(ValueError):
-        Scan(ORIGIN, b, np.array([1.0, 2.0, 6.0]), h, 5.0)
-    with pytest.raises(ValueError):
-        Scan(ORIGIN, b, r, h, 0.0)
+        Scan(ORIGIN, r, h, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +171,49 @@ def test_visibility_matches_rule_oracle_on_random_scenes():
         assert np.array_equal(visibility_mask(scan, spec), want)
 
 
+def _nearest_beam_by_argmin(theta: float, n: int) -> int:
+    """Index of the beam 2*pi*i/n at the least angular distance from theta."""
+    d = np.abs(theta - 2.0 * math.pi * np.arange(n) / n)
+    return int(np.argmin(np.minimum(d, 2.0 * math.pi - d)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 120, 360])
+def test_nearest_beam_matches_argmin_over_bearings(n):
+    # Only the argmin beam hits, at a range every checked cell lies beyond:
+    # the cell is occluded exactly when the rule judges it by that beam.
+    rng = np.random.default_rng(n)
+    spacing = 2.0 * math.pi / n
+    for _ in range(20):
+        ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
+        spec = GridSpec(6, 7, 1.0, (ego.x + rng.uniform(-12, 12), ego.y + rng.uniform(-12, 12)), "world")
+        checked = 0
+        for i in range(spec.n_cells):
+            cx, cy = spec.cell_center(*spec.col_row(i))
+            if math.hypot(cx - ego.x, cy - ego.y) < 1.0:
+                continue
+            theta = (math.atan2(cy - ego.y, cx - ego.x) - ego.heading) % (2.0 * math.pi)
+            frac = theta / spacing - math.floor(theta / spacing)
+            if abs(frac - 0.5) < 1e-6:
+                continue  # near a midpoint the two nearest beams tie
+            beam = _nearest_beam_by_argmin(theta, n)
+            hits = np.arange(n) == beam
+            scan = Scan(ego, np.where(hits, 0.1, 50.0), hits, 50.0)
+            assert visibility_mask(scan, spec)[i], (n, i, theta)
+            checked += 1
+        assert checked > 0
+
+
+def test_midpoint_cell_takes_the_even_beam():
+    # Four beams at 0, 90, 180 and 270 degrees; the cells of this 2 x 2 grid
+    # sit at 45, 135, 225 and 315 degrees, exactly midway between two beams.
+    # Only the even beams hit, so rounding half to even occludes every cell
+    # (rounding half up would judge the 45 and 225 degree cells by a miss).
+    spec = GridSpec(2, 2, 2.0, origin=(1.0, 1.0), frame="world")
+    hits = np.array([True, False, True, False])
+    scan = Scan(ORIGIN, np.where(hits, 0.1, 5.0), hits, 5.0)
+    assert visibility_mask(scan, spec).tolist() == [True, True, True, True]
+
+
 def test_occlusion_monotone_in_obstacle_size():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -216,14 +253,6 @@ def test_update_free_everywhere_on_empty_scene():
     updated = standard_inverse_update(new_uniform_grid(spec), scan)
     assert np.all(updated.probs < 0.5)
     np.testing.assert_allclose(updated.probs, 0.2)
-
-
-def test_update_custom_likelihoods():
-    spec = column_grid()
-    updated = standard_inverse_update(new_uniform_grid(spec), blocked_scan(),
-                                      p_occ=0.7, p_free=0.4)
-    assert updated.probs[1] == pytest.approx(0.7)
-    assert updated.probs[2] == pytest.approx(0.4)
 
 
 def test_occluded_cells_keep_arbitrary_prior_exactly():
