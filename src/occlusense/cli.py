@@ -126,7 +126,6 @@ class PipelineConfig:
     # Landmark mode.
     logit_reg: float = 0.01
     logit_max_iters: int = 2000
-    logit_tol: float = 1e-9
     region_x: tuple[float, float] = (-8.0, 8.0)
     region_y: tuple[float, float] = (1.0, 25.0)
     region_step: float = 2.0
@@ -186,7 +185,6 @@ _KEYS = {
     "eval.max_range": ("max_range", _checked(float, lambda v: v > 0.0, "positive")),
     "logit.reg": ("logit_reg", _checked(float, lambda v: v >= 0.0, "nonnegative")),
     "logit.max_iters": ("logit_max_iters", int),
-    "logit.tol": ("logit_tol", float),
     "region.step": ("region_step", float),
 }
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -447,7 +445,7 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
     if not samples:
         raise DataError("no visible training samples in the training clips")
 
-    model = fit_logit(samples, reg=cfg.logit_reg, max_iters=cfg.logit_max_iters, tol=cfg.logit_tol)
+    model = fit_logit(samples, reg=cfg.logit_reg, max_iters=cfg.logit_max_iters)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "logit.json"

@@ -189,8 +189,6 @@ class EpisodeLog:
     ped_present: np.ndarray
     ped_y: np.ndarray
     ped_speed: np.ndarray
-    behavior: PedestrianBehavior
-    crosswalk_x: float
     scenario: Scenario
 
     @property
@@ -200,6 +198,14 @@ class EpisodeLog:
     @property
     def config(self) -> ScenarioConfig:
         return self.scenario.config
+
+    @property
+    def behavior(self) -> PedestrianBehavior:
+        return self.scenario.behavior
+
+    @property
+    def crosswalk_x(self) -> float:
+        return self.config.crosswalk_x
 
     @property
     def occ_front_x(self) -> np.ndarray:
@@ -332,8 +338,6 @@ def run_episode(scenario: Scenario) -> EpisodeLog:
         ped_present=ped_present,
         ped_y=ped_y,
         ped_speed=ped_speed_arr,
-        behavior=scenario.behavior,
-        crosswalk_x=cfg.crosswalk_x,
         scenario=scenario,
     )
 
@@ -518,6 +522,4 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
         if name != "ped_y" and np.isnan(values).any():
             raise DataError(f"{path}: episode {index} has a null {name} value at frame "
                             f"{int(np.argmax(np.isnan(values)))}")
-    return EpisodeLog(**columns, ped_present=~np.isnan(columns["ped_y"]),
-                      behavior=scenario.behavior, crosswalk_x=config.crosswalk_x,
-                      scenario=scenario)
+    return EpisodeLog(**columns, ped_present=~np.isnan(columns["ped_y"]), scenario=scenario)

@@ -86,6 +86,7 @@ def test_config_mapping_applies_values():
     {"logit.stopped_speed": "0.3"},
     {"logit.accel": "0.5"},
     {"logit.fast_speed": "4.0"},
+    {"logit.tol": "1e-9"},
 ])
 def test_config_mapping_rejects_unknown(mapping):
     with pytest.raises(ConfigError):
