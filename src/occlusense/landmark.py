@@ -182,8 +182,13 @@ def _loglik_and_probs(weights, phi_t, cells, reg: float) -> tuple[float, np.ndar
 
 
 def _gradient(weights, phi, onehot, probs, reg: float) -> np.ndarray:
-    """Gradient of the regularized log-likelihood, given the softmax at ``weights``."""
-    return (onehot - probs) @ phi - reg * weights
+    """Gradient of the regularized log-likelihood, given the softmax at ``weights``.
+
+    The (actions, m) residual is written Fortran-ordered, so its product
+    with the (m, features) rows ``phi`` is the same BLAS call, and gives the
+    same bits, as the row-layout ``(onehot - probs).T @ phi``.
+    """
+    return np.subtract(onehot, probs, order="F") @ phi - reg * weights
 
 
 def regularized_loglik(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg: float) -> float:

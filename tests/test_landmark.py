@@ -9,6 +9,7 @@ from occlusense.landmark import (
     LogitModel,
     OccludedRegion,
     SemanticAction,
+    TOL,
     action_from_label,
     bbox_to_landmark,
     fit_logit,
@@ -127,6 +128,86 @@ def test_newton_fit_converges_on_unscaled_features(reg):
     assert model.grad_norm == float(np.sqrt(np.sum(loglik_gradient(model.weights, xy, labels, reg) ** 2)))
     assert model.loglik_history[-1] == pytest.approx(scipy_optimum(xy, labels, reg), rel=1e-9)
     assert fit_logit(samples, reg=reg, max_iters=2).stop_reason == "max_iters"
+
+
+def row_layout_fit(xy, labels, reg, max_iters):
+    """The Newton ascent of :func:`fit_logit` with (samples, actions) scores.
+
+    The softmax reduces along each 5-wide row, the gradient is
+    ``(onehot - probs).T @ phi``, and the Armijo search, history and stops
+    are restated here; the (actions, samples) layout must give the same
+    weights and history bit for bit.  The Newton system is assembled from
+    the row-layout probabilities as :func:`fit_logit` assembles it: its
+    block products over the samples round differently when the operands
+    are transposed views, so that step has no layout-free form to compare.
+    """
+    phi = position_features(xy)
+    rows = np.arange(len(labels))
+    n_params = N_ACTIONS * N_FEATURES
+
+    def loglik_and_probs(W):
+        scores = phi @ W.T
+        scores -= scores.max(axis=1, keepdims=True)
+        e = np.exp(scores)
+        total = e.sum(axis=1, keepdims=True)
+        picked = scores[rows, labels]
+        return float((picked - np.log(total[:, 0])).sum() - 0.5 * reg * np.sum(W**2)), e / total
+
+    def gradient(W, probs):
+        onehot = np.zeros_like(probs)
+        onehot[rows, labels] = 1.0
+        return (onehot - probs).T @ phi - reg * W
+
+    def newton_direction(probs, grad):
+        probs_t, phi_t = np.ascontiguousarray(probs.T), np.ascontiguousarray(phi.T)
+        weighted = (probs_t[:, None, :] * phi_t).reshape(n_params, -1)
+        hess = reg * np.eye(n_params) - weighted @ weighted.T
+        for a in range(0, n_params, N_FEATURES):
+            hess[a:a + N_FEATURES, a:a + N_FEATURES] += weighted[a:a + N_FEATURES] @ phi
+        return np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(N_ACTIONS, N_FEATURES)
+
+    W = np.zeros((N_ACTIONS, N_FEATURES))
+    val, probs = loglik_and_probs(W)
+    history = [val]
+    grad = gradient(W, probs)
+    for _ in range(max_iters):
+        if float(np.sum(grad**2)) <= 1e-18:
+            break
+        direction = newton_direction(probs, grad)
+        slope = float(np.sum(grad * direction))
+        step = 1.0
+        while step > 1e-16:
+            cand = W + step * direction
+            val, probs = loglik_and_probs(cand)
+            if val >= history[-1] + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        W, grad = cand, gradient(cand, probs)
+        gain = val - history[-1]
+        history.append(val)
+        if gain < TOL * max(1.0, abs(val)):
+            break
+    return W, history
+
+
+@pytest.mark.parametrize("reg", [0.05, 0.0])
+@pytest.mark.parametrize("max_iters, reason", [(7, "max_iters"), (5000, "tolerance")])
+def test_fit_is_bit_identical_to_row_layout(reg, max_iters, reason):
+    # 2% label noise: the fit takes 10-11 Newton iterations, so 7 stops early.
+    rng = np.random.default_rng(21)
+    m = 1000
+    xy = np.column_stack((rng.uniform(-3, 3, m), rng.uniform(1, 25, m)))
+    labels = np.minimum((xy[:, 1] // 6).astype(np.int64), N_ACTIONS - 1)
+    noisy = rng.random(m) < 0.02
+    labels[noisy] = rng.integers(0, N_ACTIONS, noisy.sum())
+    model = fit_logit(list(zip(xy, labels)), reg=reg, max_iters=max_iters)
+    weights, history = row_layout_fit(xy, labels, reg, max_iters)
+    assert model.stop_reason == reason
+    assert np.array_equal(model.weights, weights)
+    assert model.loglik_history == history
+    assert model.grad_norm == float(np.sqrt(np.sum(loglik_gradient(weights, xy, labels, reg) ** 2)))
 
 
 def test_no_positional_signal_stays_uniform():
