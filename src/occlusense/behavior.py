@@ -68,7 +68,8 @@ class ActionletModel:
     Centroids live in standardized feature space; ``feature_mean`` and
     ``feature_scale`` map raw features into it.  ``sse_history`` records
     the within-cluster sum of squares at the start of each training
-    iteration (a training artifact, not persisted).
+    iteration, and ``stop_reason`` says whether Lloyd's loop ``converged``
+    or stopped on ``max_iters`` (training artifacts, not persisted).
     """
 
     k: int
@@ -76,6 +77,7 @@ class ActionletModel:
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     sse_history: list[float] = field(default_factory=list)
+    stop_reason: str | None = None
 
     def __post_init__(self) -> None:
         self.centroids = np.asarray(self.centroids, dtype=float)
@@ -113,9 +115,61 @@ class ActionletModel:
         )
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    d = X[:, None, :] - C[None, :, :]
-    return np.einsum("mkd,mkd->mk", d, d)
+#: Relative width of the band in which the expanded squared distances of
+#: :func:`_nearest_centroids` may rank two centroids wrongly.
+_RECHECK_TOL = 16 * (FEATURE_DIM + 4) * 2.0**-53
+
+
+def _nearest_centroids(Xs: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray,
+                       dist: np.ndarray | None = None, diff: np.ndarray | None = None):
+    """Nearest centroid of each row of ``Xs`` and its squared distance.
+
+    Returns ``(assign, min_sq)``, bit for bit what the direct rule gives:
+    ``assign`` is the argmin over ``einsum("mkd,mkd->mk", D, D)`` with
+    ``D = Xs[:, None] - centroids`` (ties to the lowest index), and
+    ``min_sq`` is ``einsum("md,md->m", E, E)`` with ``E = Xs -
+    centroids[assign]``.  ``x_sq`` is ``einsum("md,md->m", Xs, Xs)``;
+    ``dist`` (m, k) and ``diff`` (m, d) are scratch buffers, allocated
+    when not given.
+
+    The ranking comes from the expansion ``x_sq - 2 Xs @ C.T + c_sq``, one
+    matrix product, and only the rows it cannot rank are measured
+    directly.  Error bound: with unit roundoff u = 2**-53, d = 21
+    components and gamma_n = n u / (1 - n u), a length-d dot product
+    summed in any order is within gamma_d |x||c| <= gamma_d (|x|^2 +
+    |c|^2) / 2 of exact, so the expansion (three such products and two
+    additions) is within about 2 (d + 2) u (|x|^2 + |c|^2) of the true
+    squared distance.  The direct sum of d rounded squared differences
+    is within gamma_(d+2) of it, and it is at most 2 (|x|^2 + |c|^2).
+    The two computed values of one pair therefore differ by at most
+    4 (d + 4) u S, with S = |x|^2 + max |c|^2, and two centroids whose
+    expanded distances are more than 8 (d + 4) u S apart are ranked the
+    same way by the direct rule.  A row whose second-smallest expanded
+    distance is within ``_RECHECK_TOL * S`` = 16 (d + 4) u S of its
+    smallest (twice that, for the second-order terms) is recomputed with
+    the direct rule; exact ties always fall in that band.
+    """
+    m, k = len(Xs), len(centroids)
+    dist = np.empty((m, k)) if dist is None else dist
+    diff = np.empty_like(Xs) if diff is None else diff
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    np.matmul(Xs, centroids.T, out=dist)
+    dist *= -2.0
+    dist += x_sq[:, None]
+    dist += c_sq
+    assign = np.argmin(dist, axis=1)
+    rows = np.arange(m)
+    best = dist[rows, assign]
+    dist[rows, assign] = np.inf
+    second = dist[rows, np.argmin(dist, axis=1)]
+    unsure = second - best <= _RECHECK_TOL * (x_sq + c_sq.max())
+    if np.any(unsure):
+        d = Xs[unsure, None, :] - centroids[None, :, :]
+        assign[unsure] = np.argmin(np.einsum("mkd,mkd->mk", d, d), axis=1)
+    # Every index is in range; mode="raise" would copy through a temporary.
+    np.take(centroids, assign, axis=0, out=diff, mode="clip")
+    np.subtract(Xs, diff, out=diff)
+    return assign, np.einsum("md,md->m", diff, diff)
 
 
 def kmeans_fit(features, k: int = 10, max_iters: int = 100, seed: int = 0) -> ActionletModel:
@@ -144,23 +198,26 @@ def kmeans_fit(features, k: int = 10, max_iters: int = 100, seed: int = 0) -> Ac
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(Xs, k, rng)
 
+    x_sq = np.einsum("md,md->m", Xs, Xs)
+    dist = np.empty((m, k))
+    diff = np.empty_like(Xs)
     history: list[float] = []
     prev_assign = None
+    stop_reason = "max_iters"
     for _ in range(max_iters):
-        sq = _pairwise_sq_dists(Xs, centroids)
-        assign = np.argmin(sq, axis=1)  # ties resolve to the lowest index
-        min_sq = sq[np.arange(m), assign]
+        assign, min_sq = _nearest_centroids(Xs, centroids, x_sq, dist, diff)
         sse = float(min_sq.sum())
         if history and sse > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise AssertionError(f"k-means SSE increased: {history[-1]} -> {sse}")
         history.append(sse)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
+            stop_reason = "converged"
             break
         prev_assign = assign
 
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, Xs.shape[1]))
-        np.add.at(sums, assign, Xs)
+        # One weighted bincount per column adds each cluster's rows in row order.
+        sums = np.stack([np.bincount(assign, Xs[:, j], k) for j in range(FEATURE_DIM)], axis=1)
         nonempty = counts > 0
         centroids = centroids.copy()
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -171,7 +228,7 @@ def kmeans_fit(features, k: int = 10, max_iters: int = 100, seed: int = 0) -> Ac
                 far = int(np.argmax(taken))
                 centroids[j] = Xs[far]
                 taken[far] = -1.0
-    return ActionletModel(k, centroids, mean, scale, history)
+    return ActionletModel(k, centroids, mean, scale, history, stop_reason)
 
 
 def _kmeans_pp_init(Xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,9 +256,9 @@ def assign_actionlet(model: ActionletModel, features):
     rows = np.asarray(features, dtype=float)
     if rows.ndim not in (1, 2) or rows.shape[-1] != FEATURE_DIM:
         raise ValueError(f"expected feature rows of length {FEATURE_DIM}")
-    sq = ((model.centroids - model.scale(rows)[..., None, :]) ** 2).sum(axis=-1)
-    labels = np.argmin(sq, axis=-1)
-    return int(labels) if labels.ndim == 0 else labels
+    Xs = model.scale(rows.reshape(-1, FEATURE_DIM))
+    labels, _ = _nearest_centroids(Xs, model.centroids, np.einsum("md,md->m", Xs, Xs))
+    return int(labels[0]) if rows.ndim == 1 else labels
 
 
 @dataclass
@@ -274,7 +331,8 @@ def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: fl
 
     Args:
         labels: ``(N,)`` actionlet index of each training sample.
-        maps: ``(N, n_cells)`` ground-truth 0/1 occupancy of each sample.
+        maps: ``(N, n_cells)`` ground-truth 0/1 occupancy of each sample;
+            bool and integer maps are counted as they are, without a copy.
         spec: layout the maps index.
         n_actions: vocabulary size (must exceed every label).
         alpha: Laplace smoothing strength; each (cell, state) distribution is
@@ -286,7 +344,9 @@ def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: fl
     if alpha < 0.0:
         raise ValueError("smoothing strength must be nonnegative")
     labels = np.asarray(labels, dtype=np.int64)
-    maps = np.asarray(maps, dtype=np.int64)
+    maps = np.asarray(maps)
+    if maps.dtype.kind not in "biu":
+        maps = maps.astype(np.int64)
     if labels.ndim != 1 or maps.ndim != 2 or len(maps) != len(labels):
         raise ValueError(f"need one label per map, got shapes {labels.shape} and {maps.shape}")
     if np.any((labels < 0) | (labels >= n_actions)):
@@ -299,7 +359,7 @@ def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: fl
 
     # counts[c, a, i]: samples labelled a with cell i in state c.
     counts = np.empty((2, n_actions, spec.n_cells), dtype=np.int64)
-    counts[1] = [maps[labels == a].sum(axis=0) for a in range(n_actions)]
+    counts[1] = [maps[labels == a].sum(axis=0, dtype=np.int64) for a in range(n_actions)]
     counts[0] = np.bincount(labels, minlength=n_actions)[:, None] - counts[1]
     sample_counts = counts.sum(axis=1)  # (2, n_cells)
     denom = sample_counts[:, None, :] + alpha * n_actions

@@ -353,13 +353,14 @@ def _eval_frame_indices(log, stride: int) -> np.ndarray:
 
 
 def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 21) feature rows and (N, n_cells) true maps over the training
-    episodes, one call per layer and episode."""
+    """(N, 21) feature rows and (N, n_cells) true 0/1 maps (``uint8``) over
+    the training episodes, one call per layer and episode."""
     features, maps = [], []
     for log in logs:
         frames = _eval_frame_indices(log, stride)
         features.append(extract_features(log, log.t[frames]))
-        maps.append(ground_truth_grid(log, frames, anchored_spec_at(template, log, frames)).cells)
+        truth = ground_truth_grid(log, frames, anchored_spec_at(template, log, frames))
+        maps.append(truth.cells.astype(np.uint8))
     return np.concatenate(features), np.concatenate(maps)
 
 
@@ -421,6 +422,7 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
     manifest.add_output(actionlet_path)
     manifest.add_output(table_path)
     manifest.counters["kmeans_iterations"] = len(model.sse_history)
+    manifest.counters["kmeans_stop_reason"] = model.stop_reason
     print(f"train: {len(features)} samples -> {cfg.k_actionlets} actionlets; models in {out}")
 
 

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from occlusense import behavior
 from occlusense.behavior import (
     FEATURE_DIM,
     ActionletModel,
@@ -160,6 +161,153 @@ def test_kmeans_accepts_feature_windows():
     assert set(assign_actionlet(model, windows).tolist()) <= {0, 1}
 
 
+def reference_kmeans(X, k, max_iters=100, seed=0):
+    """The direct Lloyd loop: a full (m, k, d) difference array for the
+    distances, ``np.add.at`` for the centroid sums.  Returns the
+    centroids, the SSE history, whether an empty cluster was re-seeded and
+    whether the loop converged."""
+    Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+    m = len(Xs)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, FEATURE_DIM))
+    centroids[0] = Xs[rng.integers(m)]
+    closest = ((Xs - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        idx = int(rng.integers(m)) if total <= 0.0 else int(rng.choice(m, p=closest / total))
+        centroids[j] = Xs[idx]
+        closest = np.minimum(closest, ((Xs - centroids[j]) ** 2).sum(axis=1))
+    history, prev, reseeded = [], None, False
+    for _ in range(max_iters):
+        d = Xs[:, None, :] - centroids[None, :, :]
+        sq = np.einsum("mkd,mkd->mk", d, d)
+        assign = np.argmin(sq, axis=1)
+        min_sq = sq[np.arange(m), assign]
+        history.append(float(min_sq.sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            return centroids, history, reseeded, True
+        prev = assign
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros((k, FEATURE_DIM))
+        np.add.at(sums, assign, Xs)
+        nonempty = counts > 0
+        centroids = centroids.copy()
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        taken = min_sq.copy()
+        for j in np.flatnonzero(~nonempty):
+            reseeded = True
+            far = int(np.argmax(taken))
+            centroids[j] = Xs[far]
+            taken[far] = -1.0
+    return centroids, history, reseeded, False
+
+
+def kmeans_case(name):
+    """(features, k, max_iters) of one bit-identity case."""
+    rng = np.random.default_rng(21)
+    if name.startswith("random"):
+        return rng.normal(size=(500, FEATURE_DIM)) * rng.uniform(0.1, 10.0, FEATURE_DIM), 10, 100
+    if name == "many_rows":
+        return rng.normal(size=(5000, FEATURE_DIM)), 10, 100
+    if name == "duplicate_rows":
+        rows = rng.normal(size=(60, FEATURE_DIM))
+        return np.repeat(rows, rng.integers(1, 6, len(rows)), axis=0), 10, 100
+    if name == "emptied_cluster":
+        # Three distinct points for five clusters: the extra seeds duplicate
+        # earlier ones, lose every tie and are re-seeded.
+        return np.repeat(rng.normal(size=(3, FEATURE_DIM)), 2, axis=0), 5, 100
+    if name == "reseed_cycle":
+        # The mean of seven equal rows is not always that row to the last
+        # bit, so a cluster empties and is re-seeded on every iteration.
+        return np.repeat(rng.normal(size=(3, FEATURE_DIM)), [7, 5, 9], axis=0), 5, 100
+    assert name == "max_iters"
+    return rng.normal(size=(400, FEATURE_DIM)), 10, 3
+
+
+@pytest.mark.parametrize("case", ["random", "random_seed_4", "many_rows", "duplicate_rows", "emptied_cluster",
+                                  "reseed_cycle", "max_iters"])
+def test_kmeans_is_bit_identical_to_direct_loop(case):
+    X, k, max_iters = kmeans_case(case)
+    seed = 4 if case == "random_seed_4" else 0
+    centroids, history, reseeded, converged = reference_kmeans(X, k, max_iters, seed)
+    model = kmeans_fit(X, k=k, max_iters=max_iters, seed=seed)
+    assert np.array_equal(model.centroids, centroids)
+    assert model.sse_history == history
+    assert model.stop_reason == ("converged" if converged else "max_iters")
+    # each case exercises what its name says
+    assert reseeded == (case in ("emptied_cluster", "reseed_cycle"))
+    assert converged == (case not in ("reseed_cycle", "max_iters"))
+
+
+def direct_nearest(Xs, C):
+    d = Xs[:, None, :] - C[None, :, :]
+    assign = np.argmin(np.einsum("mkd,mkd->mk", d, d), axis=1)
+    e = Xs - C[assign]
+    return assign, np.einsum("md,md->m", e, e)
+
+
+def count_rechecked_rows(monkeypatch):
+    """Rows the direct (m, k, d) rule is evaluated on, counted per call."""
+    rows = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "mkd,mkd->mk":
+            rows.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return rows
+
+
+def nearest(Xs, C):
+    return behavior._nearest_centroids(Xs, C, np.einsum("md,md->m", Xs, Xs))
+
+
+def test_nearest_centroid_exact_ties_go_to_lowest_index(monkeypatch):
+    rng = np.random.default_rng(31)
+    # Small integers: every distance is an exact integer, so many rows are
+    # equally far from two or more centroids.
+    Xs = rng.integers(-1, 2, (300, FEATURE_DIM)).astype(float)
+    C = rng.integers(-1, 2, (10, FEATURE_DIM)).astype(float)
+    C[7] = C[2]
+    exact = ((Xs[:, None, :].astype(int) - C[None].astype(int)) ** 2).sum(-1)
+    tied = (exact == exact.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied.sum() > 50
+    want_assign, want_sq = direct_nearest(Xs, C)
+    rechecked = count_rechecked_rows(monkeypatch)
+    assign, min_sq = nearest(Xs, C)
+    assert np.array_equal(assign, np.argmax(exact == exact.min(axis=1, keepdims=True), axis=1))
+    assert np.array_equal(assign, want_assign)
+    assert np.array_equal(min_sq, want_sq)
+    assert sum(rechecked) >= tied.sum()
+
+
+def test_nearest_centroid_recheck_repairs_cancellation(monkeypatch):
+    rng = np.random.default_rng(3)
+    # Offset by 1e4 with a spread of 1e-3: the expansion |x|^2 - 2 x.c + |c|^2
+    # cancels to about 2e-6 absolute, the size of the gaps between centroids.
+    Xs = 1e4 + rng.normal(0.0, 1e-3, (300, FEATURE_DIM))
+    C = 1e4 + rng.normal(0.0, 1e-3, (10, FEATURE_DIM))
+    want_assign, want_sq = direct_nearest(Xs, C)
+    rechecked = count_rechecked_rows(monkeypatch)
+    assign, min_sq = nearest(Xs, C)
+    assert np.array_equal(assign, want_assign)
+    assert np.array_equal(min_sq, want_sq)
+    assert sum(rechecked) == len(Xs)
+    # without the recheck the expansion alone ranks some rows wrongly
+    monkeypatch.setattr(behavior, "_RECHECK_TOL", -np.inf)
+    assert not np.array_equal(nearest(Xs, C)[0], want_assign)
+
+
+def test_assign_matches_kmeans_labels():
+    X, k, _ = kmeans_case("random")
+    model = kmeans_fit(X, k=k, seed=2)
+    want, _ = direct_nearest(model.scale(X), model.centroids)
+    assert np.array_equal(assign_actionlet(model, X), want)
+    assert [assign_actionlet(model, x) for x in X[:20]] == want[:20].tolist()
+
+
 def test_assign_tie_breaks_to_lowest_index():
     centroids = np.zeros((5, FEATURE_DIM))
     centroids[1, 0] = 1.0
@@ -226,6 +374,22 @@ def test_counts_match_a_per_sample_tally(alpha):
             denom = state_counts[i, c] + alpha * 4
             want = (counts[i, :, c] + alpha) / denom if denom > 0 else np.full(4, 0.25)
             assert np.array_equal(table.entries[i, :, c], want)
+
+
+def test_map_dtypes_give_identical_tables():
+    rng = np.random.default_rng(13)
+    spec = GridSpec(3, 4)
+    # about 330 occupied samples per (cell, action): more than a uint8 holds
+    labels = rng.integers(0, 3, 2000)
+    occupied = rng.random((2000, spec.n_cells)) < 0.5
+    tables = [estimate_likelihoods(labels, occupied.astype(dtype), spec, n_actions=4)
+              for dtype in (bool, np.uint8, np.int64)]
+    assert np.array_equal(tables[0].sample_counts[:, 1], np.count_nonzero(occupied, axis=0))
+    for table in tables[1:]:
+        assert np.array_equal(table.entries, tables[0].entries)
+        assert np.array_equal(table.sample_counts, tables[0].sample_counts)
+    with pytest.raises(ValueError, match="0 or 1"):
+        estimate_likelihoods([0], np.array([[2]], dtype=np.uint8), GridSpec(1, 1), n_actions=2)
 
 
 def test_likelihood_arrays_and_bounds():

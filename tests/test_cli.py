@@ -224,6 +224,8 @@ def test_train_grid_outputs(grid_run):
     assert doc["counters"]["episodes_train"] == 2
     assert doc["counters"]["episodes_eval"] == 8
     assert doc["counters"]["training_samples"] >= 10
+    assert doc["counters"]["kmeans_iterations"] >= 2
+    assert doc["counters"]["kmeans_stop_reason"] == "converged"
     assert str(grid_run / "dataset.jsonl") in doc["inputs"]
     for name in ("actionlets.json", "likelihoods.json"):
         assert (grid_run / name).exists()
