@@ -360,7 +360,7 @@ def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, 
         frames = _eval_frame_indices(log, stride)
         features.append(extract_features(log, log.t[frames]))
         truth = ground_truth_grid(log, frames, anchored_spec_at(template, log, frames))
-        maps.append(truth.cells.astype(np.uint8))
+        maps.append(truth.cells)
     return np.concatenate(features), np.concatenate(maps)
 
 

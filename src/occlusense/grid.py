@@ -157,17 +157,23 @@ class OccupancyGrid:
 @dataclass
 class BinaryMap:
     """A hard {0, 1} occupancy assignment over a :class:`GridSpec`, for one
-    frame ``(n_cells,)`` or a stack of frames ``(F, n_cells)``."""
+    frame ``(n_cells,)`` or a stack of frames ``(F, n_cells)``.  Cells are
+    stored as ``uint8``; a bool mask is taken as a view, without a copy."""
 
     spec: GridSpec
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.int64)
-        if self.cells.ndim not in (1, 2) or self.cells.shape[-1] != self.spec.n_cells:
-            raise ValueError(f"expected {self.spec.n_cells} cells, got shape {self.cells.shape}")
-        if not np.all((self.cells == 0) | (self.cells == 1)):
+        cells = np.asarray(self.cells)
+        if cells.ndim not in (1, 2) or cells.shape[-1] != self.spec.n_cells:
+            raise ValueError(f"expected {self.spec.n_cells} cells, got shape {cells.shape}")
+        if cells.dtype == bool:
+            self.cells = cells.view(np.uint8)
+            return
+        # Check the values as given: a cast first would turn 0.5 or 256 into 0.
+        if not np.all((cells == 0) | (cells == 1)):
             raise ValueError("binary map cells must be 0 or 1")
+        self.cells = cells.astype(np.uint8, copy=False)
 
 
 def new_uniform_grid(spec: GridSpec) -> OccupancyGrid:
@@ -227,7 +233,7 @@ def threshold(grid: OccupancyGrid, tau: float = DEFAULT_THRESHOLD) -> BinaryMap:
     """Binarize a grid: cells with probability >= tau become occupied."""
     if not (0.0 < tau < 1.0):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {tau}")
-    return BinaryMap(grid.spec, (grid.probs >= tau).astype(np.int64))
+    return BinaryMap(grid.spec, grid.probs >= tau)
 
 
 def joint_map_probability(grid: OccupancyGrid, cells: BinaryMap) -> float:

@@ -242,44 +242,98 @@ class EpisodeLog:
         return SceneGeometry(obstacles)
 
 
+#: Episodes integrated side by side in one lockstep chunk.  Each frame step
+#: costs a few dozen array operations whatever the chunk size, so larger
+#: chunks amortise that cost; 256 keeps the chunk's logs to a few MB.
+CHUNK_EPISODES = 256
+
+
 def run_episode(scenario: Scenario) -> EpisodeLog:
     """Integrate one episode deterministically from its noise seed."""
-    cfg = scenario.config
+    return _run_lockstep([scenario])[0]
+
+
+def simulate_batch(config: ScenarioConfig, n_episodes: int, seed: int):
+    """Yield (scenario, log) pairs, each scenario from its own child random
+    stream, integrating :data:`CHUNK_EPISODES` episodes at a time."""
+    if n_episodes < 1:
+        raise ConfigError("need at least one episode")
+    root = named_seed_sequence(seed, "simulate")
+    scenarios = [sample_scenario(config, np.random.default_rng(child))
+                 for child in root.spawn(n_episodes)]
+    for start in range(0, n_episodes, CHUNK_EPISODES):
+        chunk = scenarios[start:start + CHUNK_EPISODES]
+        yield from zip(chunk, _run_lockstep(chunk))
+
+
+def _speed_squared(v: np.ndarray) -> np.ndarray:
+    """``v ** 2`` rounded as CPython's ``float.__pow__`` rounds it (libm
+    ``pow``).  ``v * v``, NumPy's ``v ** 2`` and ``np.power(v, 2.0)`` round
+    differently for about 1 speed in 1,200, which would change the logs."""
+    return np.float_power(v, 2.0)
+
+
+def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
+    """Integrate episodes that share one config side by side, one array step
+    per frame.
+
+    Every step applies the same elementwise operations, in the same order, as
+    integrating each episode alone, so each log is the same to the bit
+    whatever the chunk holds.  Each episode's acceleration noise is drawn up
+    front from its own ``noise_seed`` stream: ``standard_normal(n)`` gives
+    the same values as n scalar draws.  Episodes shorter than the longest
+    keep integrating and their logs are cut to their own frame count.
+    """
+    cfg = scenarios[0].config
+    if any(s.config is not cfg and s.config != cfg for s in scenarios):
+        raise ValueError("lockstep episodes must share one config")
     dt = 1.0 / cfg.log_rate
-    n = scenario.n_frames
-    rng = np.random.default_rng(scenario.noise_seed)
-
     half_len = cfg.occluder_length / 2.0
-    occ_x = np.empty(n)
-    occ_speed = np.empty(n)
-    occ_accel = np.zeros(n)
-    ped_present = np.zeros(n, dtype=bool)
-    ped_y = np.full(n, np.nan)
-    ped_speed_arr = np.zeros(n)
+    lengths = np.array([s.n_frames for s in scenarios])
+    n_eps, n = len(scenarios), int(lengths.max())
 
-    x = cfg.crosswalk_x - scenario.d0 - half_len  # center position
-    v = scenario.v0
-    ped_exists = scenario.behavior is not PedestrianBehavior.ABSENT
-    walking = False
-    braking = False
-    y_ped = cfg.ped_side_y
+    d0 = np.array([s.d0 for s in scenarios])
+    v0 = np.array([s.v0 for s in scenarios])
+    ped_speed = np.array([s.ped_speed for s in scenarios])
+    t_appear = np.array([s.t_appear for s in scenarios])
+    behaviors = [s.behavior for s in scenarios]
+    ped_exists = np.array([b is not PedestrianBehavior.ABSENT for b in behaviors])
+    bold = np.array([b is PedestrianBehavior.BOLD_CROSS for b in behaviors])
+    waits = np.array([b is PedestrianBehavior.WAIT_THEN_CROSS for b in behaviors])
+    noise = np.zeros((n_eps, n - 1))
+    if cfg.accel_noise_sigma > 0.0:
+        for row, s in zip(noise, scenarios):
+            row[: s.n_frames - 1] = np.random.default_rng(s.noise_seed).standard_normal(s.n_frames - 1)
+
+    occ_x = np.empty((n_eps, n))
+    occ_speed = np.empty((n_eps, n))
+    occ_accel = np.zeros((n_eps, n))
+    ped_present = np.zeros((n_eps, n), dtype=bool)
+    ped_y = np.full((n_eps, n), np.nan)
+    ped_speed_arr = np.zeros((n_eps, n))
+
+    start_x = cfg.crosswalk_x - d0 - half_len  # center position
+    x = start_x
+    v = v0
+    walking = np.zeros(n_eps, dtype=bool)
+    braking = np.zeros(n_eps, dtype=bool)
+    y_ped = np.full(n_eps, cfg.ped_side_y)
+    stop_line = cfg.crosswalk_x - cfg.stop_margin
+    arrived_y = cfg.ped_far_y - 1e-9
 
     for i in range(n):
-        t = i * dt
-        present = ped_exists and t >= scenario.t_appear
-        arrived = y_ped >= cfg.ped_far_y - 1e-9
-        if present and not walking:
-            if scenario.behavior is PedestrianBehavior.BOLD_CROSS:
-                walking = True
-            elif scenario.behavior is PedestrianBehavior.WAIT_THEN_CROSS and v < cfg.wait_trigger_speed:
-                walking = True
+        present = ped_exists & (i * dt >= t_appear)
+        arrived = y_ped >= arrived_y
+        # A bold pedestrian starts walking on appearing, a waiting one once
+        # the occluder has slowed down; walking never stops.
+        walking |= present & (bold | (waits & (v < cfg.wait_trigger_speed)))
+        stepping = walking & ~arrived
 
-        occ_x[i] = x
-        occ_speed[i] = v
-        ped_present[i] = present
-        if present:
-            ped_y[i] = y_ped
-            ped_speed_arr[i] = scenario.ped_speed if (walking and not arrived) else 0.0
+        occ_x[:, i] = x
+        occ_speed[:, i] = v
+        ped_present[:, i] = present
+        ped_y[:, i] = np.where(present, y_ped, np.nan)
+        ped_speed_arr[:, i] = np.where(present & stepping, ped_speed, 0.0)
 
         if i == n - 1:
             break
@@ -288,68 +342,53 @@ def run_episode(scenario: Scenario) -> EpisodeLog:
         # otherwise steer speed back to cruise.  Braking starts at the last
         # comfortable point (required deceleration reaching the trigger
         # level) rather than the instant the pedestrian is noticed, and
-        # latches until the pedestrian disengages.
+        # latches until the pedestrian disengages.  An episode at or past
+        # the stop line (gap <= 0) brakes hard; its quotient is not used.
         front = x + half_len
-        gap = (cfg.crosswalk_x - cfg.stop_margin) - front
-        engaged = present and (not walking or y_ped <= cfg.corridor_halfwidth)
+        gap = stop_line - front
+        engaged = present & (~walking | (y_ped <= cfg.corridor_halfwidth))
         aware = (
             engaged
-            and front < cfg.crosswalk_x
-            and (cfg.crosswalk_x - front) <= cfg.reaction_distance
+            & (front < cfg.crosswalk_x)
+            & ((cfg.crosswalk_x - front) <= cfg.reaction_distance)
         )
-        if not aware:
-            braking = False
-        elif not braking and gap > 0.0 and v**2 / (2.0 * gap) >= cfg.brake_trigger_decel:
-            braking = True
-        elif gap <= 0.0:
-            braking = True
-        if aware and braking:
-            if gap <= 0.0:
-                a_cmd = -cfg.a_max_brake
-            elif v > 0.0:
-                a_cmd = -(v**2) / (2.0 * gap)
-            else:
-                a_cmd = 0.0
-        else:
-            a_cmd = (scenario.v0 - v) / dt
+        ahead = gap > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            needed = _speed_squared(v) / (2.0 * gap)
+            braking = aware & (braking | ~ahead | (needed >= cfg.brake_trigger_decel))
+        a_brake = np.where(ahead, np.where(v > 0.0, -needed, 0.0), -cfg.a_max_brake)
+        a_cmd = np.where(braking, a_brake, (v0 - v) / dt)
         if cfg.accel_noise_sigma > 0.0:
-            a_cmd += cfg.accel_noise_sigma * rng.standard_normal()
-        a_cmd = float(np.clip(a_cmd, -cfg.a_max_brake, cfg.a_max_accel))
+            a_cmd += cfg.accel_noise_sigma * noise[:, i]
+        a_cmd = np.clip(a_cmd, -cfg.a_max_brake, cfg.a_max_accel)
 
-        v_next = max(0.0, v + a_cmd * dt)
-        occ_accel[i] = (v_next - v) / dt  # realized, after clipping at rest
+        v_next = np.maximum(0.0, v + a_cmd * dt)
+        occ_accel[:, i] = (v_next - v) / dt  # realized, after clipping at rest
         x = x + v * dt
         v = v_next
 
-        if walking and not arrived:
-            y_ped = min(cfg.ped_far_y, y_ped + scenario.ped_speed * dt)
+        y_ped = np.where(stepping, np.minimum(cfg.ped_far_y, y_ped + ped_speed * dt), y_ped)
 
-    if n > 1:
-        occ_accel[n - 1] = occ_accel[n - 2]
+    # Each episode's last frame repeats its realized acceleration before it.
+    rows = np.flatnonzero(lengths > 1)
+    occ_accel[rows, lengths[rows] - 1] = occ_accel[rows, lengths[rows] - 2]
 
     t_arr = np.arange(n) * dt
-    ego_x = (cfg.crosswalk_x - scenario.d0 - half_len) - cfg.ego_gap + scenario.ego_speed * t_arr
-    return EpisodeLog(
-        t=t_arr,
-        ego_x=ego_x,
-        occ_x=occ_x,
-        occ_speed=occ_speed,
-        occ_accel=occ_accel,
-        ped_present=ped_present,
-        ped_y=ped_y,
-        ped_speed=ped_speed_arr,
-        scenario=scenario,
-    )
-
-
-def simulate_batch(config: ScenarioConfig, n_episodes: int, seed: int):
-    """Yield (scenario, log) pairs, each from its own child random stream."""
-    if n_episodes < 1:
-        raise ConfigError("need at least one episode")
-    root = named_seed_sequence(seed, "simulate")
-    for child in root.spawn(n_episodes):
-        scenario = sample_scenario(config, np.random.default_rng(child))
-        yield scenario, run_episode(scenario)
+    ego_x = (start_x - cfg.ego_gap)[:, None] + np.array([s.ego_speed for s in scenarios])[:, None] * t_arr
+    return [
+        EpisodeLog(
+            t=t_arr[:m].copy(),
+            ego_x=ego_x[e, :m],
+            occ_x=occ_x[e, :m],
+            occ_speed=occ_speed[e, :m],
+            occ_accel=occ_accel[e, :m],
+            ped_present=ped_present[e, :m],
+            ped_y=ped_y[e, :m],
+            ped_speed=ped_speed_arr[e, :m],
+            scenario=s,
+        )
+        for e, (s, m) in enumerate(zip(scenarios, lengths))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +437,17 @@ def ground_truth_grid(log: EpisodeLog, frame, spec: GridSpec) -> BinaryMap:
     frame = np.asarray(frame)
     if np.any((frame < 0) | (frame >= log.n_frames)):
         raise ValueError(f"frame {frame} outside episode of {log.n_frames} frames")
-    half_ped = log.config.ped_size / 2.0
-    half_res = spec.resolution / 2.0
-    centers = spec.cell_centers()
-    overlap_x = np.abs(centers[..., 0] - log.crosswalk_x) < half_res + half_ped
-    overlap_y = np.abs(centers[..., 1] - log.ped_y[frame][..., None]) < half_res + half_ped
-    present = log.ped_present[frame][..., None]
-    return BinaryMap(spec, (present & overlap_x & overlap_y).astype(np.int64))
+    reach = spec.resolution / 2.0 + log.config.ped_size / 2.0
+    # The footprint test is separable: a cell's center x depends only on its
+    # row and its center y only on its column (see GridSpec.cell_centers), so
+    # each axis is tested once per frame and only the 0/1 map is cell-sized.
+    ox, oy = (np.asarray(o, dtype=float)[..., None] for o in spec.origin)
+    row_x = ox - np.arange(spec.height_cells) * spec.resolution
+    col_y = oy - np.arange(spec.width_cells) * spec.resolution
+    overlap_x = np.abs(row_x - log.crosswalk_x) < reach
+    overlap_y = np.abs(col_y - log.ped_y[frame][..., None]) < reach
+    cells = log.ped_present[frame][..., None, None] & overlap_x[..., :, None] & overlap_y[..., None, :]
+    return BinaryMap(spec, cells.reshape(*cells.shape[:-2], spec.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +480,8 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
             record = {"type": "episode", "index": index, "behavior": scenario.behavior.value,
                       "scenario": scenario.to_dict()}
             for name in _COLUMNS:
-                record[name] = getattr(log, name).tolist()
-            record["ped_y"] = np.where(log.ped_present, log.ped_y, None).tolist()
+                values = np.where(log.ped_present, log.ped_y, None) if name == "ped_y" else getattr(log, name)
+                record[name] = values.tolist()
             fh.write(_dump(record) + "\n")
             count += 1
     return count

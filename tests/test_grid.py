@@ -238,3 +238,20 @@ def test_occupancy_grid_validates_range():
         OccupancyGrid(spec, np.array([np.nan, 0.5]))
     with pytest.raises(ValueError):
         BinaryMap(spec, np.array([0, 2]))
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.0], [256, 0], [-1, 1], [np.nan, 0.0]])
+def test_binary_map_rejects_values_a_cast_would_hide(bad):
+    # Cast to uint8 first, 0.5 would become 0, 256 would wrap to 0 and -1 to 255.
+    with pytest.raises(ValueError, match="0 or 1"):
+        BinaryMap(GridSpec(2, 1), np.array(bad))
+
+
+def test_binary_map_stores_uint8_and_views_bool_masks():
+    spec = GridSpec(3, 1)
+    mask = np.array([True, False, True])
+    cells = BinaryMap(spec, mask).cells
+    assert cells.dtype == np.uint8 and cells.tolist() == [1, 0, 1]
+    assert np.shares_memory(cells, mask)
+    assert BinaryMap(spec, [1.0, 0.0, 1]).cells.tolist() == [1, 0, 1]
+    assert threshold(OccupancyGrid(spec, np.array([0.9, 0.1, 0.6]))).cells.dtype == np.uint8

@@ -7,6 +7,7 @@ from occlusense.errors import ConfigError, DataError
 from occlusense.grid import GridSpec
 from occlusense.simulator import (
     BEHAVIOR_ORDER,
+    CHUNK_EPISODES,
     EpisodeLog,
     PedestrianBehavior,
     Scenario,
@@ -19,6 +20,8 @@ from occlusense.simulator import (
     sample_scenario,
     simulate_batch,
     write_episodes,
+    _run_lockstep,
+    _speed_squared,
 )
 
 QUIET = ScenarioConfig(accel_noise_sigma=0.0)
@@ -188,6 +191,187 @@ def test_behavioral_signal_over_batch():
 def test_simulate_batch_rejects_empty():
     with pytest.raises(ConfigError):
         list(simulate_batch(ScenarioConfig(), 0, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# lockstep integration against the one-episode loop
+# ---------------------------------------------------------------------------
+
+def reference_episode(scenario):
+    """The one-episode per-frame loop the lockstep integrator replaced, kept
+    verbatim as the reference every lockstep log must equal bit for bit."""
+    cfg = scenario.config
+    dt = 1.0 / cfg.log_rate
+    n = scenario.n_frames
+    rng = np.random.default_rng(scenario.noise_seed)
+
+    half_len = cfg.occluder_length / 2.0
+    occ_x = np.empty(n)
+    occ_speed = np.empty(n)
+    occ_accel = np.zeros(n)
+    ped_present = np.zeros(n, dtype=bool)
+    ped_y = np.full(n, np.nan)
+    ped_speed_arr = np.zeros(n)
+
+    x = cfg.crosswalk_x - scenario.d0 - half_len  # center position
+    v = scenario.v0
+    ped_exists = scenario.behavior is not PedestrianBehavior.ABSENT
+    walking = False
+    braking = False
+    y_ped = cfg.ped_side_y
+
+    for i in range(n):
+        t = i * dt
+        present = ped_exists and t >= scenario.t_appear
+        arrived = y_ped >= cfg.ped_far_y - 1e-9
+        if present and not walking:
+            if scenario.behavior is PedestrianBehavior.BOLD_CROSS:
+                walking = True
+            elif scenario.behavior is PedestrianBehavior.WAIT_THEN_CROSS and v < cfg.wait_trigger_speed:
+                walking = True
+
+        occ_x[i] = x
+        occ_speed[i] = v
+        ped_present[i] = present
+        if present:
+            ped_y[i] = y_ped
+            ped_speed_arr[i] = scenario.ped_speed if (walking and not arrived) else 0.0
+
+        if i == n - 1:
+            break
+
+        front = x + half_len
+        gap = (cfg.crosswalk_x - cfg.stop_margin) - front
+        engaged = present and (not walking or y_ped <= cfg.corridor_halfwidth)
+        aware = (
+            engaged
+            and front < cfg.crosswalk_x
+            and (cfg.crosswalk_x - front) <= cfg.reaction_distance
+        )
+        if not aware:
+            braking = False
+        elif not braking and gap > 0.0 and v**2 / (2.0 * gap) >= cfg.brake_trigger_decel:
+            braking = True
+        elif gap <= 0.0:
+            braking = True
+        if aware and braking:
+            if gap <= 0.0:
+                a_cmd = -cfg.a_max_brake
+            elif v > 0.0:
+                a_cmd = -(v**2) / (2.0 * gap)
+            else:
+                a_cmd = 0.0
+        else:
+            a_cmd = (scenario.v0 - v) / dt
+        if cfg.accel_noise_sigma > 0.0:
+            a_cmd += cfg.accel_noise_sigma * rng.standard_normal()
+        a_cmd = float(np.clip(a_cmd, -cfg.a_max_brake, cfg.a_max_accel))
+
+        v_next = max(0.0, v + a_cmd * dt)
+        occ_accel[i] = (v_next - v) / dt
+        x = x + v * dt
+        v = v_next
+
+        if walking and not arrived:
+            y_ped = min(cfg.ped_far_y, y_ped + scenario.ped_speed * dt)
+
+    if n > 1:
+        occ_accel[n - 1] = occ_accel[n - 2]
+
+    t_arr = np.arange(n) * dt
+    ego_x = (cfg.crosswalk_x - scenario.d0 - half_len) - cfg.ego_gap + scenario.ego_speed * t_arr
+    return EpisodeLog(t=t_arr, ego_x=ego_x, occ_x=occ_x, occ_speed=occ_speed,
+                      occ_accel=occ_accel, ped_present=ped_present, ped_y=ped_y,
+                      ped_speed=ped_speed_arr, scenario=scenario)
+
+
+LOG_COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_present", "ped_y", "ped_speed")
+
+
+def assert_matches_reference(logs):
+    """Every log equals the reference loop's log of its scenario, bit for bit
+    (so NaN ped_y and signed zeros must match too)."""
+    for log in logs:
+        want = reference_episode(log.scenario)
+        for name in LOG_COLUMNS:
+            got, ref = getattr(log, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), (name, log.scenario)
+
+
+NOISY = ScenarioConfig()
+
+
+def test_lockstep_all_behaviors_in_one_chunk():
+    scenarios = [fixed_scenario(b, t_appear=0.4 * k, config=NOISY, noise_seed=k)
+                 for k, b in enumerate(BEHAVIOR_ORDER)]
+    assert_matches_reference(_run_lockstep(scenarios))
+
+
+def test_lockstep_mixed_durations_end_at_different_frames():
+    scenarios = [fixed_scenario(b, duration=d, config=NOISY, noise_seed=k)
+                 for k, (b, d) in enumerate(zip(BEHAVIOR_ORDER * 2, (8.0, 5.0, 10.0, 6.3, 0.0, 9.1, 7.5, 5.5)))]
+    logs = _run_lockstep(scenarios)
+    assert sorted({log.n_frames for log in logs}) == [1, 151, 166, 190, 226, 241, 274, 301]
+    assert_matches_reference(logs)
+
+
+def test_lockstep_without_noise():
+    scenarios = [fixed_scenario(b, d0=12.0 + 4 * k, v0=4.5 + 0.5 * k)
+                 for k, b in enumerate(BEHAVIOR_ORDER)]
+    assert_matches_reference(_run_lockstep(scenarios))
+
+
+def test_lockstep_hard_braking_past_the_stop_line():
+    # The pedestrian appears after the occluder's front has passed the stop
+    # line (2 m short of the walk), so the gap is <= 0 and it brakes hard.
+    scenario = fixed_scenario(PedestrianBehavior.BOLD_CROSS, t_appear=2.3)
+    (log,) = _run_lockstep([scenario])
+    cfg = log.config
+    past = log.ped_present & (log.occ_front_x > cfg.crosswalk_x - cfg.stop_margin) & (log.occ_front_x < cfg.crosswalk_x)
+    assert past.sum() >= 3
+    np.testing.assert_allclose(log.occ_accel[past], -cfg.a_max_brake)
+    assert_matches_reference([log, *_run_lockstep([scenario, fixed_scenario(PedestrianBehavior.ABSENT)])])
+
+
+def test_lockstep_stopped_occluder():
+    # A standing pedestrian holds the occluder at rest short of the stop line,
+    # where the braking command is 0 (the v == 0 branch).
+    logs = [*_run_lockstep([fixed_scenario(PedestrianBehavior.STAND, duration=10.0)]),
+            *_run_lockstep([fixed_scenario(PedestrianBehavior.STAND, duration=10.0, config=NOISY, noise_seed=k)
+                            for k in range(3)])]
+    for log in logs:
+        assert (log.occ_speed == 0.0).sum() > 100
+    assert_matches_reference(logs)
+
+
+def test_lockstep_more_episodes_than_one_chunk():
+    cfg = ScenarioConfig(duration_range=(1.0, 3.0))
+    pairs = batch(CHUNK_EPISODES + 9, seed=11, config=cfg)
+    assert len(pairs) == CHUNK_EPISODES + 9
+    assert all(log.scenario is scenario for scenario, log in pairs)
+    assert_matches_reference([log for _, log in pairs])
+
+
+def test_lockstep_rejects_mixed_configs():
+    with pytest.raises(ValueError, match="one config"):
+        _run_lockstep([fixed_scenario(PedestrianBehavior.STAND),
+                       fixed_scenario(PedestrianBehavior.STAND, config=NOISY)])
+
+
+def test_run_episode_is_the_one_episode_case():
+    scenario = fixed_scenario(PedestrianBehavior.WAIT_THEN_CROSS, config=NOISY, noise_seed=5)
+    assert_matches_reference([run_episode(scenario)])
+
+
+def test_speed_squared_rounds_like_float_pow():
+    speeds = np.random.default_rng(0).uniform(0.0, 7.0, 20_000)
+    want = np.array([float.__pow__(float(v), 2) for v in speeds])
+    differ = speeds * speeds != want
+    if not differ.any():
+        pytest.skip("this libm's pow rounds every sampled square like v * v")
+    assert np.array_equal(_speed_squared(speeds[differ]), want[differ])
+    assert np.array_equal(_speed_squared(speeds), want)
 
 
 # ---------------------------------------------------------------------------
