@@ -353,12 +353,6 @@ def test_lockstep_more_episodes_than_one_chunk():
     assert_matches_reference([log for _, log in pairs])
 
 
-def test_lockstep_rejects_mixed_configs():
-    with pytest.raises(ValueError, match="one config"):
-        _run_lockstep([fixed_scenario(PedestrianBehavior.STAND),
-                       fixed_scenario(PedestrianBehavior.STAND, config=NOISY)])
-
-
 def test_run_episode_is_the_one_episode_case():
     scenario = fixed_scenario(PedestrianBehavior.WAIT_THEN_CROSS, config=NOISY, noise_seed=5)
     assert_matches_reference([run_episode(scenario)])
