@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .behavior import (
+    WINDOW_SECONDS,
     assign_actionlet,
     estimate_likelihoods,
     extract_features,
@@ -61,9 +62,6 @@ from .simulator import (
     simulate_batch,
     write_episodes,
 )
-
-#: Feature windows need this much history before the first evaluable frame.
-WARMUP_SECONDS = 0.5
 
 EVAL_METHODS = ("standard", "fused", "truth")
 
@@ -348,7 +346,7 @@ def split_episodes(n_episodes: int, split: float, seed: int) -> tuple[np.ndarray
 def _eval_frame_indices(log, stride: int) -> np.ndarray:
     """Frames with enough history for a feature window, at the given stride."""
     rate = log.config.log_rate
-    first = int(np.ceil(WARMUP_SECONDS * rate - 1e-9))
+    first = int(np.ceil(WINDOW_SECONDS * rate - 1e-9))
     return np.arange(first, log.n_frames, stride)
 
 
@@ -428,26 +426,21 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
 
 def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
     manifest.add_input(dataset)
-    records = _read_landmark_records(dataset)
-    clips = sorted({r["clip_id"] for r in records})
+    clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
     if len(clips) < 2:
         raise DataError("landmark training needs at least two clips to split")
     train_idx, _ = split_episodes(len(clips), cfg.train_split, cfg.seed)
-    train_clips = {clips[i] for i in train_idx}
     # Train on directly observed pedestrians; occluded samples are the
     # evaluation targets.
-    samples = [
-        ((r["x"], r["y"]), r["action"])
-        for r in records
-        if r["clip_id"] in train_clips and not r["occluded"]
-    ]
+    train = np.isin(clip, train_idx) & ~occluded
+    n_samples = int(np.count_nonzero(train))
     manifest.counters["clips_total"] = len(clips)
-    manifest.counters["clips_train"] = len(train_clips)
-    manifest.counters["training_samples"] = len(samples)
-    if not samples:
+    manifest.counters["clips_train"] = len(train_idx)
+    manifest.counters["training_samples"] = n_samples
+    if n_samples == 0:
         raise DataError("no visible training samples in the training clips")
 
-    model = fit_logit(samples, reg=cfg.logit_reg, max_iters=cfg.logit_max_iters)
+    model = fit_logit(xy[train], actions[train], reg=cfg.logit_reg, max_iters=cfg.logit_max_iters)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "logit.json"
@@ -457,7 +450,7 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
     manifest.counters["logit_iterations"] = len(model.loglik_history)
     manifest.counters["logit_stop_reason"] = model.stop_reason
     manifest.counters["logit_grad_norm"] = model.grad_norm
-    print(f"train: fit action model on {len(samples)} samples; model in {out}")
+    print(f"train: fit action model on {n_samples} samples; model in {out}")
 
 
 def cmd_eval(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models_dir: str | None) -> None:
@@ -571,20 +564,17 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot load logit model: {exc}") from exc
 
-    records = _read_landmark_records(dataset)
-    clips = sorted({r["clip_id"] for r in records})
+    clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
     if len(clips) < 2:
         raise DataError("landmark evaluation needs at least two clips")
     _, eval_idx = split_episodes(len(clips), cfg.train_split, cfg.seed)
-    eval_clips = {clips[i] for i in eval_idx}
     region = cfg.region()
     prior = 1.0 / region.n
 
-    targets = [r for r in records if r["clip_id"] in eval_clips and r["occluded"]]
-    truth = region.locate(np.array([(r["x"], r["y"]) for r in targets]).reshape(-1, 2),
-                          tol=cfg.region_step / 2.0)
+    targets = np.isin(clip, eval_idx) & occluded
+    truth = region.locate(xy[targets], tol=cfg.region_step / 2.0)
     skipped_outside = int(np.count_nonzero(truth < 0))
-    observed = np.array([r["action"].value for r in targets], dtype=np.int64)
+    observed = actions[targets]
     # The posterior depends only on the observed action: one per action seen.
     masses: dict[SemanticAction, np.ndarray] = {}
     for action in SemanticAction:
@@ -723,29 +713,37 @@ def _ingest_record(rec: dict, camera_fallback: CameraModel | None):
     }
 
 
-def _read_landmark_records(path: str) -> list[dict]:
+def _read_landmark_records(path: str) -> tuple:
+    """The landmark dataset as columns, in file order.
+
+    Returns the sorted distinct clip ids, each record's index into them,
+    the (m, 2) positions, the (m,) int64 action codes and the (m,) occluded
+    mask.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read landmark dataset {path}: {exc}") from exc
-    records = []
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            records.append({
-                "clip_id": str(rec["clip_id"]),
-                "x": float(rec["x"]),
-                "y": float(rec["y"]),
-                "action": action_from_label(str(rec["action"])),
-                "occluded": bool(rec["occluded"]),
-            })
+            rows.append((str(rec["clip_id"]), float(rec["x"]), float(rec["y"]),
+                         action_from_label(str(rec["action"])).value, bool(rec["occluded"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
-    if not records:
+    if not rows:
         raise DataError(f"{path}: no landmark records")
-    return records
+    clip_ids, x, y, actions, occluded = zip(*rows)
+    # Python's str order; np.unique's fixed-width strings would drop
+    # trailing NULs and merge ids such as "a" and "a\0".
+    clips = sorted(set(clip_ids))
+    index = {c: i for i, c in enumerate(clips)}
+    clip = np.fromiter(map(index.__getitem__, clip_ids), np.int64, len(clip_ids))
+    return (clips, clip, np.column_stack((x, y)), np.array(actions, dtype=np.int64),
+            np.array(occluded, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -144,23 +144,6 @@ def load_logit_model(path: str) -> LogitModel:
         return LogitModel.from_dict(json.load(fh))
 
 
-def _coerce_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    xs, labels = [], []
-    for position, action in samples:
-        arr = np.asarray(position, dtype=float)
-        if arr.shape != (2,):
-            raise ValueError("positions must be 2D")
-        xs.append(arr.tolist())
-        labels.append(action.value if isinstance(action, SemanticAction) else int(action))
-    X = np.array(xs, dtype=float)
-    y = np.array(labels, dtype=np.int64)
-    if len(X) == 0:
-        raise ValueError("no training samples")
-    if np.any(y < 0) or np.any(y >= N_ACTIONS):
-        raise ValueError("action labels outside the vocabulary")
-    return X, y
-
-
 def _label_cells(labels) -> np.ndarray:
     """Flat index of each sample's label in an (actions, m) array, in sample order."""
     labels = np.asarray(labels)
@@ -204,8 +187,9 @@ def loglik_gradient(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg
     return _gradient(weights, phi, _onehot(_label_cells(labels)), probs, reg)
 
 
-def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000) -> LogitModel:
-    """Fit the action model by damped Newton steps (IRLS) with Armijo backtracking.
+def fit_logit(xy: np.ndarray, labels: np.ndarray, reg: float = 0.01, max_iters: int = 2000) -> LogitModel:
+    """Fit the action model to (m, 2) positions and their (m,) action codes
+    by damped Newton steps (IRLS) with Armijo backtracking.
 
     The objective is concave; with ``reg > 0`` it is strictly concave and
     the optimum is unique.  Newton steps are affine-invariant, so the
@@ -217,10 +201,21 @@ def fit_logit(samples, reg: float = 0.01, max_iters: int = 2000) -> LogitModel:
     ``TOL``, and the model records why it stopped and the gradient norm.
 
     Raises:
-        ValueError: when ``reg`` is negative, or zero while every sample
-            carries the same label (the unregularized optimum diverges).
+        ValueError: when ``xy`` is not (m, 2) with m > 0 and one label per
+            row, a label lies outside the vocabulary, ``reg`` is negative,
+            or zero while every sample carries the same label (the
+            unregularized optimum diverges).
     """
-    X, y = _coerce_samples(samples)
+    X = np.asarray(xy, dtype=float)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise ValueError("positions must be an (m, 2) array")
+    if y.shape != (len(X),):
+        raise ValueError(f"need one label per position, got {y.shape} labels for {len(X)} positions")
+    if len(X) == 0:
+        raise ValueError("no training samples")
+    if np.any(y < 0) or np.any(y >= N_ACTIONS):
+        raise ValueError("action labels outside the vocabulary")
     if reg < 0.0:
         raise ValueError("regularization strength must be nonnegative")
     if reg == 0.0 and len(np.unique(y)) == 1:

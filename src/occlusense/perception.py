@@ -67,7 +67,6 @@ class Obstacle:
     center: tuple[float, float]
     half_extents: tuple[float, float]
     heading: float = 0.0
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.half_extents[0] <= 0.0 or self.half_extents[1] <= 0.0:

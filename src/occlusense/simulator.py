@@ -228,7 +228,6 @@ class EpisodeLog:
             Obstacle(
                 center=(self.occ_x[frame], 0.0),
                 half_extents=(cfg.occluder_length / 2.0, cfg.occluder_width / 2.0),
-                tag="vehicle",
             )
         ]
         if np.any(self.ped_present[frame]):
@@ -236,7 +235,6 @@ class EpisodeLog:
                 Obstacle(
                     center=(self.crosswalk_x, self.ped_y[frame]),
                     half_extents=(cfg.ped_size / 2.0, cfg.ped_size / 2.0),
-                    tag="pedestrian",
                 )
             )
         return SceneGeometry(obstacles)

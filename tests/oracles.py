@@ -168,16 +168,14 @@ def rule_visibility_mask(spec: GridSpec, ego: Pose2D, coarse: dict, max_range: f
 def random_occlusion_scene(rng: np.random.Generator):
     """A randomized <=3-obstacle scene, ego pose, and nearby world grid."""
     ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
-    tags = ("vehicle", "structure", "pedestrian")
     obstacles = []
-    for j in range(int(rng.integers(0, 4))):
+    for _ in range(int(rng.integers(0, 4))):
         r = rng.uniform(5.0, 25.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         obstacles.append(Obstacle(
             center=(ego.x + r * math.cos(phi), ego.y + r * math.sin(phi)),
             half_extents=(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)),
             heading=rng.uniform(-math.pi, math.pi),
-            tag=tags[j % 3],
         ))
     gr = rng.uniform(4.0, 15.0)
     gphi = rng.uniform(0.0, 2.0 * math.pi)

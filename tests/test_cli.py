@@ -543,6 +543,54 @@ def test_train_landmark_single_clip_exits_2(tmp_path):
     assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--out", str(out)]) == 2
 
 
+def landmark_counters(tmp_path, name, records, seed) -> dict:
+    """Train and eval counters of one landmark dataset on a 4x4 region."""
+    ds = write_jsonl(tmp_path / f"{name}.jsonl", records)
+    cfg = tmp_path / "region.cfg"
+    cfg.write_text("region.x_min = 0\nregion.x_max = 3\n"
+                   "region.y_min = 1\nregion.y_max = 4\nregion.step = 1\n")
+    out = tmp_path / f"{name}-{seed}"
+    common = ["--dataset", str(ds), "--mode", "landmark", "--config", str(cfg),
+              "--seed", str(seed), "--out", str(out)]
+    assert main(["train", *common]) == 0
+    assert main(["eval", *common, "--models", str(out)]) == 0
+    return {**manifest(out, "train")["counters"], **manifest(out, "eval")["counters"]}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_landmark_split_ignores_clip_order_in_the_file(tmp_path, seed):
+    # File order clip10, clip2, Clip3; code-point order Clip3, clip10, clip2.
+    # Each clip has its own count of visible and scorable occluded records,
+    # so a split on file order would change the counters.
+    clips = {"clip10": (1, 2), "clip2": (2, 3), "Clip3": (3, 1)}
+    per_clip = {
+        clip: [landmark_record(clip, 0.0, 2.0 + i, "stopped", False) for i in range(visible)]
+        + [landmark_record(clip, float(i), 1.0, "decelerating", True) for i in range(occluded)]
+        for clip, (visible, occluded) in clips.items()
+    }
+    longest = max(map(len, per_clip.values()))
+    interleaved = [recs[i] for i in range(longest) for recs in per_clip.values() if i < len(recs)]
+    grouped = [rec for clip in sorted(per_clip) for rec in per_clip[clip]]
+    assert [r["clip_id"] for r in interleaved[:3]] == ["clip10", "clip2", "Clip3"]
+
+    got = landmark_counters(tmp_path, "interleaved", interleaved, seed)
+    want = landmark_counters(tmp_path, "grouped", grouped, seed)
+    keys = ("clips_total", "clips_train", "training_samples", "evaluated_samples")
+    assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+    train_idx, eval_idx = split_episodes(3, 0.2, seed)
+    ordered = sorted(clips)
+    assert got["training_samples"] == sum(clips[ordered[i]][0] for i in train_idx)
+    assert got["evaluated_samples"] == sum(clips[ordered[i]][1] for i in eval_idx)
+
+
+def test_landmark_clip_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
+    ds = write_jsonl(tmp_path / "nul.jsonl",
+                     [landmark_record(clip, 0.0, 2.0, "stopped", False) for clip in ("a", "a\u0000")])
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--out", str(out)]) == 0
+    assert manifest(out, "train")["counters"]["clips_total"] == 2
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "unknown_action"])
 def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):

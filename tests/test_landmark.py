@@ -85,7 +85,7 @@ def test_fit_reaches_scipy_optimum():
     xy = np.column_stack((rng.uniform(0, 10, 200), rng.uniform(5, 15, 200)))
     labels = np.where(xy[:, 0] < 5.0, SemanticAction.STOPPED.value,
                       SemanticAction.MOVING_FAST.value)
-    model = fit_logit(list(zip(xy, labels)), reg=0.01)
+    model = fit_logit(xy, labels, reg=0.01)
 
     optimum = scipy_optimum(xy, labels, 0.01)
     # the ascent reaches the unique optimum the independent optimizer finds
@@ -102,7 +102,7 @@ def test_history_is_monotone():
     rng = np.random.default_rng(13)
     for _ in range(5):
         xy, labels = random_instance(rng, m=60)
-        model = fit_logit(list(zip(xy, labels)), reg=0.05)
+        model = fit_logit(xy, labels, reg=0.05)
         hist = model.loglik_history
         assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
@@ -117,8 +117,7 @@ def test_newton_fit_converges_on_unscaled_features(reg):
     labels = np.minimum((xy[:, 1] // 6).astype(np.int64), N_ACTIONS - 1)
     noisy = rng.random(m) < 0.2
     labels[noisy] = rng.integers(0, N_ACTIONS, noisy.sum())
-    samples = list(zip(xy, labels))
-    model = fit_logit(samples, reg=reg)
+    model = fit_logit(xy, labels, reg=reg)
     assert model.stop_reason == "tolerance"
     assert len(model.loglik_history) <= 30
     # The gradient at zero weights has norm about 2e4.  Where Newton's
@@ -127,7 +126,7 @@ def test_newton_fit_converges_on_unscaled_features(reg):
     assert model.grad_norm < 1e-4
     assert model.grad_norm == float(np.sqrt(np.sum(loglik_gradient(model.weights, xy, labels, reg) ** 2)))
     assert model.loglik_history[-1] == pytest.approx(scipy_optimum(xy, labels, reg), rel=1e-9)
-    assert fit_logit(samples, reg=reg, max_iters=2).stop_reason == "max_iters"
+    assert fit_logit(xy, labels, reg=reg, max_iters=2).stop_reason == "max_iters"
 
 
 def row_layout_fit(xy, labels, reg, max_iters):
@@ -202,7 +201,7 @@ def test_fit_is_bit_identical_to_row_layout(reg, max_iters, reason):
     labels = np.minimum((xy[:, 1] // 6).astype(np.int64), N_ACTIONS - 1)
     noisy = rng.random(m) < 0.02
     labels[noisy] = rng.integers(0, N_ACTIONS, noisy.sum())
-    model = fit_logit(list(zip(xy, labels)), reg=reg, max_iters=max_iters)
+    model = fit_logit(xy, labels, reg=reg, max_iters=max_iters)
     weights, history = row_layout_fit(xy, labels, reg, max_iters)
     assert model.stop_reason == reason
     assert np.array_equal(model.weights, weights)
@@ -213,7 +212,7 @@ def test_fit_is_bit_identical_to_row_layout(reg, max_iters, reason):
 def test_no_positional_signal_stays_uniform():
     pos = np.tile([2.0, 7.0], (25, 1))
     labels = np.repeat(np.arange(N_ACTIONS), 5)
-    model = fit_logit(list(zip(pos, labels)), reg=0.01)
+    model = fit_logit(pos, labels, reg=0.01)
     assert model.stop_reason == "zero_gradient"
     probs = model.predict_proba(np.array([[2.0, 7.0], [-4.0, 12.0]]))
     np.testing.assert_array_equal(probs, 0.2)
@@ -236,16 +235,23 @@ def test_softmax_shift_invariance():
 
 
 def test_fit_validation():
-    with pytest.raises(ValueError):
-        fit_logit([([0.0, 1.0], 0)], reg=-0.1)
-    with pytest.raises(ValueError):
-        fit_logit([([0.0, 1.0], 2), ([1.0, 1.0], 2)], reg=0.0)
-    with pytest.raises(ValueError):
-        fit_logit([])
-    with pytest.raises(ValueError):
-        fit_logit([([0.0, 1.0], 9)])
-    with pytest.raises(ValueError):
-        fit_logit([([0.0, 1.0, 2.0], 0)])
+    two = np.array([[0.0, 1.0], [1.0, 1.0]])
+    cases = [
+        (two, [0], 0.01, "one label per position"),
+        (two, [0, 1, 2], 0.01, "one label per position"),
+        (two, [[0, 1]], 0.01, "one label per position"),
+        ([[0.0, 1.0, 2.0]], [0], 0.01, r"\(m, 2\)"),
+        ([0.0, 1.0], [0], 0.01, r"\(m, 2\)"),
+        ([[[0.0, 1.0]]], [0], 0.01, r"\(m, 2\)"),
+        (np.empty((0, 2)), np.empty(0, dtype=np.int64), 0.01, "no training samples"),
+        ([[0.0, 1.0]], [9], 0.01, "outside the vocabulary"),
+        ([[0.0, 1.0]], [-1], 0.01, "outside the vocabulary"),
+        ([[0.0, 1.0]], [0], -0.1, "nonnegative"),
+        (two, [2, 2], 0.0, "share one action"),
+    ]
+    for xy, labels, reg, message in cases:
+        with pytest.raises(ValueError, match=message):
+            fit_logit(xy, labels, reg=reg)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ ORIGIN = Pose2D(0.0, 0.0, 0.0)
 
 
 def unit_square(x, y, half=0.5):
-    return Obstacle(center=(x, y), half_extents=(half, half), tag="vehicle")
+    return Obstacle(center=(x, y), half_extents=(half, half))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,7 @@ def test_occlusion_monotone_in_obstacle_size():
         prev = None
         for scale in (1.0, 1.2, 1.5):
             grown = SceneGeometry([
-                Obstacle(o.center, (o.half_extents[0] * scale, o.half_extents[1] * scale),
-                         o.heading, o.tag)
+                Obstacle(o.center, (o.half_extents[0] * scale, o.half_extents[1] * scale), o.heading)
                 for o in scene.obstacles
             ])
             mask = visibility_mask(raycast_scan(grown, ego, 360, 50.0), spec)
