@@ -22,6 +22,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ from .simulator import (
 )
 
 EVAL_METHODS = ("standard", "fused", "truth")
+#: Annotation lines per chunk of :func:`cmd_ingest`.
+INGEST_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +637,16 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     Input records are JSON lines with clip_id, frame, bbox [x, y, w, h],
     action_label, optional camera intrinsics (falling back to the config's
     camera) and an occluded flag.  Records missing required fields or whose
-    box cannot intersect the ground plane are counted and skipped.
+    box cannot intersect the ground plane are counted and skipped.  Each
+    file's lines are converted in chunks of ``INGEST_CHUNK``, which bounds
+    the parsed records and output text held at once.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     out_path = out / "landmark_dataset.jsonl"
     accepted = 0
     rejected: dict[str, int] = {"missing_field": 0, "bad_action": 0, "horizon": 0, "bad_bbox": 0}
+    action_json: dict[str, str | None] = {}  # each label's action as JSON text, None if unknown
 
     # The file is closed before _staged moves it into place.
     with _staged(out_path) as (tmp,), open(tmp, "w") as fh:
@@ -650,19 +656,10 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
                 lines = Path(src).read_text().splitlines()
             except OSError as exc:
                 raise DataError(f"cannot read annotations {src}: {exc}") from exc
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{src}:{lineno}: invalid JSON: {exc}") from exc
-                result = _ingest_record(rec, cfg.camera_fallback)
-                if isinstance(result, str):
-                    rejected[result] += 1
-                    continue
-                fh.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")
-                accepted += 1
+            for start in range(0, len(lines), INGEST_CHUNK):
+                text, count = _ingest_chunk(src, lines, start, cfg.camera_fallback, rejected, action_json)
+                fh.write(text)
+                accepted += count
 
     manifest.add_output(out_path)
     manifest.counters["accepted"] = accepted
@@ -672,45 +669,87 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     print(f"ingest: accepted {accepted} records, rejected {total_rejected} -> {out_path}")
 
 
-def _ingest_record(rec: dict, camera_fallback: CameraModel | None):
-    """One landmark record from one annotation record, or a rejection reason."""
-    try:
-        clip_id = str(rec["clip_id"])
-        frame = int(rec["frame"])
-        bbox = [float(v) for v in rec["bbox"]]
-        label = rec["action_label"]
-        occluded = bool(rec["occluded"])
-    except (KeyError, TypeError, ValueError):
-        return "missing_field"
-    if len(bbox) != 4:
-        return "bad_bbox"
-    if "camera" in rec:
+def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: CameraModel | None,
+                  rejected: dict[str, int], action_json: dict[str, str | None]) -> tuple[str, int]:
+    """Landmark lines of the annotation lines ``lines[start:start + INGEST_CHUNK]``
+    and their count.
+
+    Each record's fields are checked in turn, in the order that decides
+    its rejection reason; ``rejected`` counts the reasons.  The boxes
+    that pass are projected with one :func:`bbox_to_landmark` call per
+    distinct camera.  The lines written for the accepted records, in file
+    order, are the bytes of ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))``, with the positions' text from ``json.dumps``.
+    """
+    heads: list[str] = []  # each passing record's line up to its x value
+    boxes: list[list[float]] = []
+    rows_of: dict[CameraModel, list[int]] = {}  # each camera's rows of ``boxes``
+    if camera_fallback is not None:
+        fallback_rows = rows_of[camera_fallback] = []
+    for lineno, line in enumerate(lines[start:start + INGEST_CHUNK], start=start + 1):
+        if not line.strip():
+            continue
         try:
-            cam = rec["camera"]
-            camera = CameraModel(float(cam["fx"]), float(cam["fy"]), float(cam["cx"]),
-                                 float(cam["cy"]), float(cam["height_m"]))
-        except (KeyError, TypeError, ValueError):
-            return "missing_field"
-    elif camera_fallback is not None:
-        camera = camera_fallback
-    else:
-        return "missing_field"
-    try:
-        action = action_from_label(str(label))
-    except ValueError:
-        return "bad_action"
-    try:
-        obs = bbox_to_landmark(bbox, camera)
-    except ValueError as exc:
-        return "horizon" if "horizon" in str(exc) else "bad_bbox"
-    return {
-        "clip_id": clip_id,
-        "frame": frame,
-        "x": obs.state.x,
-        "y": obs.state.y,
-        "action": action.name.lower(),
-        "occluded": occluded,
-    }
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{src}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            clip_id = str(rec["clip_id"])
+            frame, bbox, occluded = rec["frame"], rec["bbox"], rec["occluded"]
+            label = str(rec["action_label"])
+            if type(frame) is float and frame.is_integer():
+                frame = int(frame)
+            # JSON types only: bool("false") is True, int(2.7) is 2, and a
+            # string of four digits would read as a box.
+            if type(frame) is not int or type(bbox) is not list or type(occluded) is not bool:
+                raise TypeError
+            bbox = [float(v) for v in bbox]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            rejected["missing_field"] += 1
+            continue
+        if len(bbox) != 4:
+            rejected["bad_bbox"] += 1
+            continue
+        if "camera" in rec:
+            try:
+                cam = rec["camera"]
+                camera = CameraModel(float(cam["fx"]), float(cam["fy"]), float(cam["cx"]),
+                                     float(cam["cy"]), float(cam["height_m"]))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                rejected["missing_field"] += 1
+                continue
+            rows = rows_of.setdefault(camera, [])
+        elif camera_fallback is not None:
+            rows = fallback_rows
+        else:
+            rejected["missing_field"] += 1
+            continue
+        if label not in action_json:
+            try:
+                action_json[label] = json.dumps(action_from_label(label).name.lower())
+            except ValueError:
+                action_json[label] = None
+        action = action_json[label]
+        if action is None:
+            rejected["bad_action"] += 1
+            continue
+        heads.append(f'{{"action":{action},"clip_id":{json.dumps(clip_id)},"frame":{frame},'
+                     f'"occluded":{"true" if occluded else "false"},"x":')
+        rows.append(len(boxes))
+        boxes.append(bbox)
+
+    boxes = np.array(boxes).reshape(-1, 4)
+    xy = np.empty((len(boxes), 2))
+    reason = np.empty(len(boxes), dtype="U8")
+    for camera, rows in rows_of.items():
+        if rows:
+            xy[rows], reason[rows] = bbox_to_landmark(boxes[rows], camera)
+    for name in ("bad_bbox", "horizon"):
+        rejected[name] += int(np.count_nonzero(reason == name))
+    ok = reason == ""
+    x_text, y_text = (json.dumps(col.tolist(), separators=(",", ":"))[1:-1].split(",") for col in xy[ok].T)
+    text = "".join(f'{head}{x},"y":{y}}}\n' for head, x, y in zip(compress(heads, ok), x_text, y_text))
+    return text, int(np.count_nonzero(ok))
 
 
 def _read_landmark_records(path: str) -> tuple:
@@ -730,8 +769,11 @@ def _read_landmark_records(path: str) -> tuple:
             continue
         try:
             rec = json.loads(line)
+            occluded = rec["occluded"]
+            if type(occluded) is not bool:  # bool("false") is True
+                raise TypeError(f"occluded must be true or false, got {occluded!r}")
             rows.append((str(rec["clip_id"]), float(rec["x"]), float(rec["y"]),
-                         action_from_label(str(rec["action"])).value, bool(rec["occluded"])))
+                         action_from_label(str(rec["action"])).value, occluded))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
     if not rows:

@@ -362,30 +362,50 @@ class LandmarkObservation:
     state: LandmarkState
 
 
-def bbox_to_landmark(bbox, camera: CameraModel) -> LandmarkObservation:
-    """Back-project a detection box to a ground-plane position.
+def bbox_to_landmark(bbox, camera: CameraModel):
+    """Back-project detection boxes to ground-plane positions.
 
     The box's bottom-center pixel is assumed to touch the ground.  With a
     level camera at ``height_m``, a pixel ``dv`` rows below the principal
     point corresponds to depth ``fy * height_m / dv``; lateral offset
-    follows from the pinhole model.
+    follows from the pinhole model.  A box is rejected as ``bad_bbox``
+    when its width or height is not positive, else as ``horizon`` when
+    its bottom is at or above the principal row; a NaN size or bottom
+    fails neither test, as in scalar float comparison.
 
     Args:
-        bbox: (x, y, w, h) box in pixels, top-left origin.
+        bbox: one (x, y, w, h) box in pixels, top-left origin, or (m, 4) boxes.
         camera: intrinsics and mounting height.
 
+    Returns:
+        For one box, its :class:`LandmarkObservation`.  For (m, 4) boxes,
+        the (m, 2) (lateral, depth) positions, NaN in rejected rows, and the
+        (m,) rejection reasons, ``""`` for accepted rows.
+
     Raises:
-        ValueError: when the box bottom is at or above the horizon row, or
-            the box has nonpositive size.
+        ValueError: for one box that is rejected, or input of another shape.
     """
-    x, y, w, h = (float(v) for v in bbox)
-    if w <= 0.0 or h <= 0.0:
-        raise ValueError(f"bounding box must have positive size, got w={w}, h={h}")
-    u = x + w / 2.0
-    v = y + h
-    dv = v - camera.cy
-    if dv <= 0.0:
+    boxes = np.asarray(bbox, dtype=float)
+    if boxes.ndim not in (1, 2) or boxes.shape[-1] != 4:
+        raise ValueError("bbox_to_landmark takes a (4,) box or (m, 4) boxes")
+    x, y, w, h = boxes.reshape(-1, 4).T
+    # Each operation matches the scalar expression, so every row is rounded
+    # as the same float arithmetic on one box would round it; like Python
+    # floats, inf and NaN results pass without warnings.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = x + w / 2.0
+        dv = (y + h) - camera.cy
+        depth = camera.fy * camera.height_m / dv
+        lateral = (u - camera.cx) * depth / camera.fx
+    bad_size = (w <= 0.0) | (h <= 0.0)
+    horizon = ~bad_size & (dv <= 0.0)
+    xy = np.column_stack((lateral, depth))
+    xy[bad_size | horizon] = np.nan
+    reason = np.where(bad_size, "bad_bbox", np.where(horizon, "horizon", ""))
+    if boxes.ndim == 2:
+        return xy, reason
+    if bad_size[0]:
+        raise ValueError(f"bounding box must have positive size, got w={w[0]}, h={h[0]}")
+    if horizon[0]:
         raise ValueError("box bottom at or above the horizon: cannot intersect the ground plane")
-    depth = camera.fy * camera.height_m / dv
-    lateral = (u - camera.cx) * depth / camera.fx
-    return LandmarkObservation(LandmarkState(lateral, depth))
+    return LandmarkObservation(LandmarkState(float(xy[0, 0]), float(xy[0, 1])))

@@ -16,7 +16,7 @@ import pytest
 import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
-from occlusense.landmark import LogitModel, posterior_over_region, save_logit_model
+from occlusense.landmark import LogitModel, bbox_to_landmark, posterior_over_region, save_logit_model
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "height_m": 1.5}
 
@@ -476,6 +476,142 @@ def test_ingest_invalid_json_leaves_no_partial_dataset(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["manifest_ingest.json"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("occluded", "false"),  # bool("false") would read as occluded
+    ("occluded", 1),
+    ("frame", 2.7),  # int(2.7) would write frame 2
+    ("frame", True),
+    ("frame", "7"),
+    ("frame", math.inf),
+    ("bbox", "2958"),  # iterating the string would read the box [2, 9, 5, 8]
+    ("bbox", {"x": 1.0}),
+    ("bbox", [295.0, 202.5, 50.0, 10**400]),  # no float holds it
+])
+def test_ingest_refuses_fields_of_the_wrong_json_type(tmp_path, field, value):
+    src = tmp_path / "ann.jsonl"
+    src.write_text(json.dumps(annotation(**{field: value})) + "\n" + json.dumps(annotation()) + "\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 0
+    counters = manifest(out, "ingest")["counters"]
+    assert counters["accepted"] == 1
+    assert counters["rejected_missing_field"] == 1
+
+
+def test_ingest_writes_an_integral_float_frame_as_an_integer(tmp_path):
+    src = write_jsonl(tmp_path / "ann.jsonl", [annotation(frame=3.0)])
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 0
+    assert '"frame":3,' in (out / "landmark_dataset.jsonl").read_text()
+
+
+def per_record_lines(records, fallback=None) -> str:
+    """The landmark lines of accepted records by the per-record rule: Python
+    float arithmetic for the projection, then one ``json.dumps`` each."""
+    lines = []
+    for rec in records:
+        cam = {k: float(v) for k, v in rec.get("camera", fallback).items()}
+        x, y, w, h = map(float, rec["bbox"])
+        dv = (y + h) - cam["cy"]
+        if w <= 0.0 or h <= 0.0 or dv <= 0.0:
+            continue
+        depth = cam["fy"] * cam["height_m"] / dv
+        lateral = ((x + w / 2.0) - cam["cx"]) * depth / cam["fx"]
+        landmark = {"clip_id": str(rec["clip_id"]), "frame": rec["frame"], "x": lateral, "y": depth,
+                    "action": rec["action_label"].strip().lower().replace(" ", "_"),
+                    "occluded": rec["occluded"]}
+        lines.append(json.dumps(landmark, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+OTHER_CAMERA = {"fx": 700.0, "fy": 650.0, "cx": 300.5, "cy": 250.25, "height_m": 1.2}
+
+
+def mixed_annotations(n: int, seed: int) -> list[dict]:
+    """Accepted records of awkward text and numbers, with horizon and size
+    rejections among them; every third record carries its own camera."""
+    rng = np.random.default_rng(seed)
+    clips = ['q"uote', "back\\slash", "café 歩行者", "nul\u0000", "plain"]
+    records = []
+    for i in range(n):
+        rec = annotation(clip_id=clips[i % len(clips)], frame=2**53 + 1 + 7 * i,
+                         bbox=[float(v) for v in rng.uniform([100, 250, 5, 20], [500, 300, 80, 200])],
+                         action_label=["Stopped", "moving fast", "decelerating"][i % 3],
+                         occluded=bool(i % 2))
+        if i % 3 == 0:
+            rec["camera"] = OTHER_CAMERA if i % 2 else CAMERA
+        else:
+            del rec["camera"]
+        if i % 11 == 4:
+            rec["bbox"][1] = 100.0  # bottom above both horizon rows
+        if i % 13 == 6:
+            rec["bbox"][2] = -rec["bbox"][2]
+        if i % 17 == 8:
+            rec["bbox"][0] = math.nan if i % 2 else math.inf
+        records.append(rec)
+    return records
+
+
+def test_ingest_matches_the_per_record_rule_across_chunks_files_and_cameras(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(boxes, camera):
+        calls.append((len(boxes), camera))
+        return bbox_to_landmark(boxes, camera)
+
+    monkeypatch.setattr("occlusense.cli.bbox_to_landmark", counting)
+    monkeypatch.setattr("occlusense.cli.INGEST_CHUNK", 8)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"camera.{k} = {v}\n" for k, v in CAMERA.items()))
+    first, second = mixed_annotations(37, seed=1), mixed_annotations(20, seed=2)
+    src1, src2 = write_jsonl(tmp_path / "a.jsonl", first), write_jsonl(tmp_path / "b.jsonl", second)
+    out = tmp_path / "out"
+    assert main(["ingest", str(src1), str(src2), "--config", str(cfg), "--out", str(out)]) == 0
+
+    text = (out / "landmark_dataset.jsonl").read_text()
+    assert text == per_record_lines(first + second, CAMERA)
+    assert "NaN" in text and "Infinity" in text and '\\u0000"' in text
+    counters = manifest(out, "ingest")["counters"]
+    assert counters["accepted"] == len(text.splitlines())
+    assert counters["rejected_horizon"] > 0 and counters["rejected_bad_bbox"] > 0
+    assert counters["accepted"] + counters["rejected_horizon"] + counters["rejected_bad_bbox"] == 57
+    # One projection per camera per chunk: records with the fallback's own
+    # values join its group.
+    chunks = [recs[i:i + 8] for recs in (first, second) for i in range(0, len(recs), 8)]
+    assert len(calls) == sum(len({json.dumps(r.get("camera", CAMERA)) for r in chunk}) for chunk in chunks)
+    assert sum(n for n, _ in calls) == 57
+
+
+def test_ingest_rejections_on_both_sides_of_a_chunk_boundary(tmp_path):
+    from occlusense.cli import INGEST_CHUNK
+    records = [annotation(frame=i, clip_id=f"c{i % 3}") for i in range(INGEST_CHUNK + 10)]
+    for i in (INGEST_CHUNK - 2, INGEST_CHUNK + 1):
+        records[i]["bbox"] = [300.0, 100.0, 50.0, 100.0]  # horizon
+    for i in (INGEST_CHUNK - 1, INGEST_CHUNK):
+        records[i]["action_label"] = "moonwalk"
+    records[INGEST_CHUNK + 2]["occluded"] = "no"
+    src = write_jsonl(tmp_path / "ann.jsonl", records)
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 0
+    valid = [r for i, r in enumerate(records) if i not in (INGEST_CHUNK - 1, INGEST_CHUNK, INGEST_CHUNK + 2)]
+    assert (out / "landmark_dataset.jsonl").read_text() == per_record_lines(valid)
+    counters = manifest(out, "ingest")["counters"]
+    assert (counters["accepted"], counters["rejected_horizon"], counters["rejected_bad_action"],
+            counters["rejected_missing_field"]) == (INGEST_CHUNK + 5, 2, 2, 1)
+
+
+def test_ingest_invalid_json_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr("occlusense.cli.INGEST_CHUNK", 4)
+    src = tmp_path / "ann.jsonl"
+    lines = [json.dumps(annotation(frame=i)) for i in range(12)]
+    lines[9] = "{not json"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 2
+    assert f"{src}:10: invalid JSON" in manifest(out, "ingest")["error"]
+    # the two chunks before the bad line are not left behind
+    assert sorted(p.name for p in out.iterdir()) == ["manifest_ingest.json"]
+
+
 # ---------------------------------------------------------------------------
 # landmark train/eval
 # ---------------------------------------------------------------------------
@@ -592,7 +728,7 @@ def test_landmark_clip_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "unknown_action"])
+@pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "unknown_action", "string_occluded"])
 def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     ds = landmark_dataset(tmp_path)
     lines = ds.read_text().splitlines()
@@ -602,8 +738,11 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     elif defect == "missing_x":
         del record["x"]
         lines[2] = json.dumps(record)
-    else:
+    elif defect == "unknown_action":
         record["action"] = "cartwheeling"
+        lines[2] = json.dumps(record)
+    else:
+        record["occluded"] = "false"  # bool("false") is True
         lines[2] = json.dumps(record)
     ds.write_text("\n".join(lines) + "\n")
     models = tmp_path / "models"

@@ -378,6 +378,61 @@ def test_bbox_errors():
         bbox_to_landmark((295.0, 202.5, 0.0, 100.0), CAMERA)
     with pytest.raises(ValueError):
         CameraModel(fx=-1.0, fy=500.0, cx=320.0, cy=240.0, height_m=1.5)
+    with pytest.raises(ValueError):
+        bbox_to_landmark(np.zeros((2, 3)), CAMERA)
+
+
+def project_reference(box, camera: CameraModel):
+    """One box by Python float arithmetic: (lateral, depth), or the rejection reason."""
+    x, y, w, h = (float(v) for v in box)
+    if w <= 0.0 or h <= 0.0:
+        return "bad_bbox"
+    u = x + w / 2.0
+    dv = (y + h) - camera.cy
+    if dv <= 0.0:
+        return "horizon"
+    depth = camera.fy * camera.height_m / dv
+    return (u - camera.cx) * depth / camera.fx, depth
+
+
+def float_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+#: Zero and negative sizes, bottoms on and just below the horizon row, and NaN/inf entries.
+SPECIAL_BOXES = [(10.0, 200.0, 0.0, 50.0), (10.0, 200.0, 50.0, -0.0), (10.0, 200.0, -5.0, 50.0),
+                 (10.0, 190.0, 5.0, 50.0), (10.0, 190.0, 5.0, np.nextafter(50.0, 100.0)),
+                 (np.nan, 200.0, 50.0, 100.0), (10.0, 200.0, np.nan, 100.0), (10.0, 200.0, 50.0, np.nan),
+                 (np.inf, 200.0, 50.0, 100.0), (10.0, np.inf, 50.0, 100.0), (10.0, -np.inf, 50.0, 100.0),
+                 (-np.inf, 200.0, np.inf, 100.0), (10.0, 200.0, np.inf, 100.0), (295.0, 200.0, 50.0, 100.0),
+                 (1e308, 1e308, 1e308, 1e308)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 500])
+def test_batched_bbox_matches_per_box_calls_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    boxes = np.column_stack((rng.uniform(-400.0, 1000.0, m), rng.uniform(-200.0, 500.0, m),
+                             rng.uniform(-20.0, 120.0, m), rng.uniform(-20.0, 240.0, m)))
+    boxes = rng.permutation(np.vstack((boxes, SPECIAL_BOXES)))
+    xy, reason = bbox_to_landmark(boxes, CAMERA)
+    assert xy.shape == (len(boxes), 2) and reason.shape == (len(boxes),)
+    reasons = {"bad_bbox", "horizon"}
+    for box, got_xy, got_reason in zip(boxes, xy, reason):
+        want = project_reference(box, CAMERA)
+        if isinstance(want, str):
+            assert got_reason == want
+            assert np.isnan(got_xy).all()
+            with pytest.raises(ValueError) as err:
+                bbox_to_landmark(box, CAMERA)
+            assert ("horizon" in str(err.value)) == (want == "horizon")
+        else:
+            assert got_reason == ""
+            state = bbox_to_landmark(box, CAMERA).state
+            assert type(state.x) is float and type(state.y) is float
+            np.testing.assert_array_equal(float_bits(got_xy), float_bits(want))
+            np.testing.assert_array_equal(float_bits((state.x, state.y)), float_bits(want))
+        reasons.discard(got_reason)
+    assert not reasons  # both rejection reasons were exercised
 
 
 # ---------------------------------------------------------------------------
