@@ -681,6 +681,12 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
     order, are the bytes of ``json.dumps(record, sort_keys=True,
     separators=(",", ":"))``, with the positions' text from ``json.dumps``.
     """
+    # Each line is written from a fixed-key template and the columns' json
+    # text.  A shared JSONEncoder(sort_keys=True, separators=(",", ":"))
+    # encoding one dict per record gives the same bytes, but it sorts the
+    # keys and builds a C encoder per record: on the benchmark's landmark
+    # workload its data_s median was 1.054 s against 0.889 s here (6
+    # alternating pairs, 2-core VM).
     heads: list[str] = []  # each passing record's line up to its x value
     boxes: list[list[float]] = []
     rows_of: dict[CameraModel, list[int]] = {}  # each camera's rows of ``boxes``

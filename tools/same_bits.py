@@ -1,20 +1,21 @@
 """Same bits: one pipeline's artifacts from two source trees, compared by sha256.
 
-Runs one mode's pipeline with the ``occlusense`` package of each of two
-source trees, once per seed, each run in a directory of its own, then prints
-every artifact's sha256 on both sides and exits 1 if any of them differs.
+Runs one mode's pipeline with the ``occlusense`` package of a base source
+tree and of this checkout, once per seed, each run in a temporary directory
+of its own, then prints every artifact's sha256 on both sides and exits 1
+if any of them differs.
 The grid pipeline is ``simulate``, ``train`` and ``eval``; the landmark
 pipeline is ``ingest`` of the given annotations file, ``train`` and ``eval``.
 Manifests hold wall times, so only their ``counters`` objects are compared.
 
-Usage (from the repository root; ``--head`` defaults to this checkout):
+Usage (from the repository root):
 
     python3 tools/same_bits.py --mode grid --base ../parent --seeds 0 1 --episodes 200
     python3 tools/same_bits.py --mode landmark --base ../parent --seeds 3 81 \\
         --annotations ann.jsonl --config landmark.cfg
 
-A tree is a directory holding ``src/occlusense``, such as a ``git archive``
-of a commit.  Every stage runs with one BLAS thread.
+The base tree is a directory holding ``src/occlusense``, such as a
+``git archive`` of a commit.  Every stage runs with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import argparse
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,12 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(ARTIFACTS), required=True)
     parser.add_argument("--base", type=Path, required=True, help="source tree to compare against")
-    parser.add_argument("--head", type=Path, default=ROOT, help="source tree under test (default: this checkout)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--annotations", help="annotation JSONL that landmark mode ingests")
     parser.add_argument("--episodes", type=int, help="grid episode count (default: the config's)")
     parser.add_argument("--config", help="flat config file passed to every stage")
-    parser.add_argument("--out", type=Path, help="directory kept for the runs (default: a temporary one)")
     args = parser.parse_args(argv)
     if args.mode == "landmark" and not args.annotations:
         parser.error("landmark mode needs --annotations")
@@ -104,13 +102,11 @@ def main(argv: list[str] | None = None) -> int:
     annotations = str(Path(args.annotations).resolve()) if args.annotations else None
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.out or Path(tmp)
         same = True
         for seed in args.seeds:
             outs = []
-            for side, tree in (("base", args.base), ("head", args.head)):
-                out = work / f"seed{seed}" / side
-                shutil.rmtree(out, ignore_errors=True)
+            for side, tree in (("base", args.base), ("head", ROOT)):
+                out = Path(tmp) / f"seed{seed}" / side
                 run_pipeline(tree.resolve(), stage_argvs(args.mode, seed, out, annotations, args.episodes, config))
                 outs.append(out)
             print(f"seed {seed}:")
