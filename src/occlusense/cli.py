@@ -17,12 +17,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, cycle, repeat
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,7 @@ _KEYS = {
     "eval.n_beams": ("n_beams", _COUNT),
     "eval.max_range": ("max_range", _checked(float, lambda v: v > 0.0, "positive")),
     "logit.reg": ("logit_reg", _checked(float, lambda v: v >= 0.0, "nonnegative")),
-    "logit.max_iters": ("logit_max_iters", int),
+    "logit.max_iters": ("logit_max_iters", _COUNT),
     "region.step": ("region_step", float),
 }
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -492,7 +493,8 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
     out.mkdir(parents=True, exist_ok=True)
     frames_path = out / "eval_frames.csv"
     summary_path = out / "eval_summary.json"
-    series: dict[str, list[list[tuple[float, float]]]] = {m: [] for m in cfg.eval_methods}
+    # Per method, each episode's (episode, t, psi) columns of its scored frames.
+    columns: dict[str, list[tuple[np.ndarray, ...]]] = {m: [] for m in cfg.eval_methods}
 
     # The CSV is closed before _staged moves both files into place.
     with _staged(frames_path, summary_path) as (frames_tmp, summary_tmp), \
@@ -527,24 +529,23 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             if "truth" in cfg.eval_methods:
                 predictions["truth"] = truth
 
-            # Per method, one (psi, d_ab_free, d_ab_occ, d_ba_free, d_ba_occ) row per frame.
-            rows = {}
-            for method, predicted in predictions.items():
-                s = score_pair(predicted, truth, mask)
-                rows[method] = np.column_stack((s.psi, s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ)).tolist()
-            times = log.t[frames].tolist()
-            kept = np.flatnonzero(scored)
-            for k in kept:
-                for method, scores in rows.items():
-                    writer.writerow([int(ep), repr(times[k]), method, *map(repr, scores[k])])
-            for method, scores in rows.items():
-                series[method].append([(times[k], scores[k][0]) for k in kept])
+            # (psi, d_ab_free, d_ab_occ, d_ba_free, d_ba_occ) of each scored frame
+            # and method: rows run frame by frame, methods within a frame.
+            scores = [score_pair(predicted, truth, mask) for predicted in predictions.values()]
+            fields = np.stack([(s.psi, s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ) for s in scores],
+                              axis=-1)[:, scored]
+            times = log.t[frames][scored]
+            writer.writerows(zip(repeat(int(ep)), map(repr, np.repeat(times, len(scores)).tolist()),
+                                 cycle(predictions), *(map(repr, col) for col in fields.reshape(5, -1).tolist())))
+            for method, psi in zip(predictions, fields[0].T):
+                columns[method].append((np.full(len(times), ep), times, psi))
 
         summary = {
             "mode": "grid",
             "threshold": cfg.psi_threshold,
             "region": cfg.eval_region,
-            "methods": {m: aggregate_similarity(s).to_dict() for m, s in series.items() if s},
+            "methods": {m: aggregate_similarity(*map(np.concatenate, zip(*parts)))
+                        for m, parts in columns.items() if parts},
         }
         with open(summary_tmp, "w") as sfh:
             json.dump(summary, sfh, indent=2, sort_keys=True)
@@ -770,6 +771,7 @@ def _read_landmark_records(path: str) -> tuple:
     except OSError as exc:
         raise DataError(f"cannot read landmark dataset {path}: {exc}") from exc
     rows = []
+    codes: dict[str, int] = {}  # each label's action code
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -778,8 +780,13 @@ def _read_landmark_records(path: str) -> tuple:
             occluded = rec["occluded"]
             if type(occluded) is not bool:  # bool("false") is True
                 raise TypeError(f"occluded must be true or false, got {occluded!r}")
-            rows.append((str(rec["clip_id"]), float(rec["x"]), float(rec["y"]),
-                         action_from_label(str(rec["action"])).value, occluded))
+            x, y = float(rec["x"]), float(rec["y"])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"position must be finite, got x={x}, y={y}")
+            label = str(rec["action"])
+            if label not in codes:
+                codes[label] = action_from_label(label).value
+            rows.append((str(rec["clip_id"]), x, y, codes[label], occluded))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
     if not rows:

@@ -351,6 +351,8 @@ class CameraModel:
     height_m: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.fx, self.fy, self.cx, self.cy, self.height_m)).all():
+            raise ValueError("camera intrinsics and height must be finite")
         if self.fx <= 0.0 or self.fy <= 0.0 or self.height_m <= 0.0:
             raise ValueError("focal lengths and camera height must be positive")
 
@@ -370,8 +372,9 @@ def bbox_to_landmark(bbox, camera: CameraModel):
     point corresponds to depth ``fy * height_m / dv``; lateral offset
     follows from the pinhole model.  A box is rejected as ``bad_bbox``
     when its width or height is not positive, else as ``horizon`` when
-    its bottom is at or above the principal row; a NaN size or bottom
-    fails neither test, as in scalar float comparison.
+    its bottom is at or above the principal row, else as ``bad_bbox``
+    when its position is not finite (a NaN or infinite entry, or an
+    offset that overflows).
 
     Args:
         bbox: one (x, y, w, h) box in pixels, top-left origin, or (m, 4) boxes.
@@ -400,12 +403,15 @@ def bbox_to_landmark(bbox, camera: CameraModel):
     bad_size = (w <= 0.0) | (h <= 0.0)
     horizon = ~bad_size & (dv <= 0.0)
     xy = np.column_stack((lateral, depth))
-    xy[bad_size | horizon] = np.nan
-    reason = np.where(bad_size, "bad_bbox", np.where(horizon, "horizon", ""))
+    bad_bbox = ~horizon & (bad_size | ~np.isfinite(xy).all(axis=1))
+    xy[bad_bbox | horizon] = np.nan
+    reason = np.where(bad_bbox, "bad_bbox", np.where(horizon, "horizon", ""))
     if boxes.ndim == 2:
         return xy, reason
     if bad_size[0]:
         raise ValueError(f"bounding box must have positive size, got w={w[0]}, h={h[0]}")
     if horizon[0]:
         raise ValueError("box bottom at or above the horizon: cannot intersect the ground plane")
+    if bad_bbox[0]:
+        raise ValueError(f"bounding box {boxes.tolist()} gives a non-finite position")
     return LandmarkObservation(LandmarkState(float(xy[0, 0]), float(xy[0, 1])))

@@ -116,8 +116,8 @@ def improvement_ratio(p_ours: float, p_prior: float) -> float:
 
 
 def mean_and_se(values) -> tuple[float, float]:
-    """Sample mean and standard error (ddof=1; SE is 0 for a single value)."""
-    arr = np.asarray(list(values), dtype=float)
+    """Sample mean and standard error of an array-like (ddof=1; SE is 0 for a single value)."""
+    arr = np.asarray(values, dtype=float)
     if len(arr) == 0:
         raise ValueError("cannot aggregate an empty series")
     if len(arr) == 1:
@@ -125,53 +125,32 @@ def mean_and_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-@dataclass
-class SimilarityReport:
-    """Aggregated psi statistics over evaluated frames.
+def aggregate_similarity(episode, t, psi) -> dict:
+    """Summary of per-frame psi over many episodes.
 
-    ``probes`` holds (mean, se, n) at the start, midpoint and end of each
-    episode's evaluated window, keyed "t0", "mid" and "end"; the overall
-    row averages every evaluated frame.
+    ``episode``, ``t`` and ``psi`` are (N,) columns with one entry per
+    evaluated frame, each episode's frames together and in time order; an
+    episode starts wherever ``episode`` changes.  Returns ``psi_mean``,
+    ``psi_se`` and ``n_frames`` over every frame, and ``probes``: the
+    mean, SE and number of episodes at each episode's first frame
+    (``t0``), the frame nearest the middle of its window, the earlier one
+    on a tie (``mid``), and its last frame (``end``).
     """
-
-    psi_mean: float
-    psi_se: float
-    n_frames: int
-    probes: dict[str, tuple[float, float, int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "psi_mean": self.psi_mean,
-            "psi_se": self.psi_se,
-            "n_frames": self.n_frames,
-            "probes": {
-                k: {"mean": m, "se": s, "n": n} for k, (m, s, n) in sorted(self.probes.items())
-            },
-        }
-
-
-def aggregate_similarity(episodes: list[list[tuple[float, float]]]) -> SimilarityReport:
-    """Aggregate per-frame (time, psi) series from many episodes.
-
-    Probe points are taken per episode: the first evaluated frame, the frame
-    nearest the middle of the evaluated window, and the last frame.
-    """
-    all_psi = [psi for series in episodes for _, psi in series if series]
-    if not all_psi:
+    episode, t, psi = np.asarray(episode), np.asarray(t, dtype=float), np.asarray(psi, dtype=float)
+    if not len(episode) == len(t) == len(psi):
+        raise ValueError("episode, t and psi columns differ in length")
+    if len(psi) == 0:
         raise ValueError("no frames to aggregate")
-    probes: dict[str, list[float]] = {"t0": [], "mid": [], "end": []}
-    for series in episodes:
-        if not series:
-            continue
-        times = np.array([t for t, _ in series])
-        mid_t = 0.5 * (times[0] + times[-1])
-        mid_idx = int(np.argmin(np.abs(times - mid_t)))
-        probes["t0"].append(series[0][1])
-        probes["mid"].append(series[mid_idx][1])
-        probes["end"].append(series[-1][1])
-    mean, se = mean_and_se(all_psi)
-    probe_stats = {}
-    for key, vals in probes.items():
-        m, s = mean_and_se(vals)
-        probe_stats[key] = (m, s, len(vals))
-    return SimilarityReport(mean, se, len(all_psi), probe_stats)
+    start = np.flatnonzero(np.r_[True, episode[1:] != episode[:-1]])
+    end = np.r_[start[1:], len(psi)] - 1
+    owner = np.repeat(np.arange(len(start)), end - start + 1)
+    dist = np.abs(t - (0.5 * (t[start] + t[end]))[owner])
+    # Frames sorted by episode, then by distance (stable): each episode's
+    # nearest frame, the earliest of equals, comes first.
+    mid = np.lexsort((dist, owner))[start]
+    probes = {}
+    for key, rows in (("end", end), ("mid", mid), ("t0", start)):
+        mean, se = mean_and_se(psi[rows])
+        probes[key] = {"mean": mean, "se": se, "n": len(rows)}
+    mean, se = mean_and_se(psi)
+    return {"psi_mean": mean, "psi_se": se, "n_frames": len(psi), "probes": probes}

@@ -198,3 +198,35 @@ def random_likelihood_table(spec: GridSpec, n_actions: int, rng: np.random.Gener
     entries = raw / raw.sum(axis=1, keepdims=True)
     counts = rng.integers(0, 50, size=(spec.n_cells, 2))
     return LikelihoodTable(spec, entries, counts, alpha=1.0)
+
+
+# ---------------------------------------------------------------------------
+# psi summary by a loop over per-episode series.
+# ---------------------------------------------------------------------------
+
+def looped_similarity_summary(episodes: list[list[tuple[float, float]]]) -> dict:
+    """The psi summary of per-episode (t, psi) series, one episode at a time.
+
+    Each episode's mid probe is found by a scan that keeps the first of
+    equally near frames.  Means and SEs come from ``mean_and_se`` on lists.
+    """
+    from occlusense.metrics import mean_and_se
+
+    episodes = [series for series in episodes if series]
+    probes = {"t0": [], "mid": [], "end": []}
+    for series in episodes:
+        mid_t = 0.5 * (series[0][0] + series[-1][0])
+        best = series[0]
+        for t, psi in series:
+            if abs(t - mid_t) < abs(best[0] - mid_t):
+                best = (t, psi)
+        probes["t0"].append(series[0][1])
+        probes["mid"].append(best[1])
+        probes["end"].append(series[-1][1])
+    all_psi = [psi for series in episodes for _, psi in series]
+    mean, se = mean_and_se(all_psi)
+    summary = {"psi_mean": mean, "psi_se": se, "n_frames": len(all_psi), "probes": {}}
+    for key, values in probes.items():
+        m, s = mean_and_se(values)
+        summary["probes"][key] = {"mean": m, "se": s, "n": len(values)}
+    return summary

@@ -6,6 +6,7 @@ exercised exactly as a shell user would see them, without subprocess overhead.
 
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,8 @@ import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
 from occlusense.landmark import LogitModel, bbox_to_landmark, posterior_over_region, save_logit_model
+from occlusense.metrics import PairScore
+from oracles import looped_similarity_summary
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "height_m": 1.5}
 
@@ -98,6 +101,9 @@ def test_config_camera_must_be_complete():
         config_from_mapping({"camera.fx": "500"})
     with pytest.raises(ConfigError, match="focal"):
         config_from_mapping({f"camera.{k}": "0" if k == "fx" else str(v) for k, v in CAMERA.items()})
+    for key in CAMERA:
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_mapping({f"camera.{k}": "nan" if k == key else str(v) for k, v in CAMERA.items()})
     cfg = config_from_mapping({f"camera.{k}": str(v) for k, v in CAMERA.items()})
     assert cfg.camera_fallback is not None
     assert cfg.camera_fallback.fx == 500.0
@@ -281,6 +287,73 @@ def test_eval_standard_only_needs_no_models(grid_run, tmp_path):
     assert json.loads((out / "eval_summary.json").read_text())["region"] == "occluded"
 
 
+#: Values whose text tests the CSV's float form: zero, a small and a decimal
+#: fraction, integers, a long fraction, exponent form and a subnormal.
+EDGE_VALUES = [0.0, 1e-05, 0.1, 2.0, 7.0, 1.0 / 3.0, 1e16, 5e-324]
+
+
+def test_eval_frames_match_the_per_row_writer(grid_run, tmp_path, monkeypatch):
+    """All three methods on occluded cells, with edge values among the scores:
+    the CSV holds one ``writerow`` of each value's ``repr`` per scored frame
+    and method, and the summary is the per-episode loop's."""
+    import occlusense.cli as cli
+
+    read, anchor, score = cli.read_episodes, cli.anchored_spec_at, cli.score_pair
+    logs, episodes, calls = [], [], []  # episodes: (index, frame times); calls: (episode, scores, scored)
+
+    def reading(path):
+        logs.extend(read(path))
+        return logs
+
+    def anchoring(template, log, frames):
+        episodes.append((next(i for i, other in enumerate(logs) if other is log), log.t[frames].tolist()))
+        return anchor(template, log, frames)
+
+    def scoring(predicted, truth, mask):
+        s = score(predicted, truth, mask)
+        f = sum(len(c[1].psi) for c in calls) + np.arange(len(s.psi))
+        edge = np.array(EDGE_VALUES)[f % len(EDGE_VALUES)]
+        psi = np.where(f % 2, np.array(EDGE_VALUES)[f // 2 % len(EDGE_VALUES)], s.psi)  # odd frames
+        s = PairScore(edge, s.d_ab_occ, edge[::-1], s.d_ba_occ, psi)
+        calls.append((episodes[-1], s, mask.any(axis=1)))
+        return s
+
+    monkeypatch.setattr("occlusense.cli.read_episodes", reading)
+    monkeypatch.setattr("occlusense.cli.anchored_spec_at", anchoring)
+    monkeypatch.setattr("occlusense.cli.score_pair", scoring)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("eval.methods = standard, fused, truth\neval.region = occluded\n"
+                   "eval.stride = 6\neval.n_beams = 120\n")
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(grid_run),
+                 "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+
+    methods = ("standard", "fused", "truth")
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["episode", "t", "method", "psi", "d_ab_free", "d_ab_occ", "d_ba_free", "d_ba_occ"])
+    series = {m: [] for m in methods}
+    for i in range(0, len(calls), len(methods)):
+        (ep, times), _, scored = calls[i]
+        rows = {m: np.column_stack((s.psi, s.d_ab_free, s.d_ab_occ, s.d_ba_free, s.d_ba_occ)).tolist()
+                for m, (_, s, _) in zip(methods, calls[i:i + len(methods)])}
+        kept = np.flatnonzero(scored)
+        for k in kept:
+            for method, scores in rows.items():
+                writer.writerow([int(ep), repr(times[k]), method, *map(repr, scores[k])])
+        for method, scores in rows.items():
+            series[method].append([(times[k], scores[k][0]) for k in kept])
+    assert (out / "eval_frames.csv").read_bytes() == expected.getvalue().encode()
+
+    with open(out / "eval_frames.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len({r[0] for r in rows}) >= 2 and [r[2] for r in rows[:3]] == list(methods)
+    for column in (3, 4, 6):  # psi, d_ab_free and d_ba_free
+        assert {repr(v) for v in EDGE_VALUES} <= {r[column] for r in rows}
+    summary = json.loads((out / "eval_summary.json").read_text())
+    assert summary["methods"] == {m: looped_similarity_summary(series[m]) for m in methods}
+
+
 def test_eval_fused_without_models_exits_1(grid_run, tmp_path):
     out = tmp_path / "eval"
     code = main(["eval", "--dataset", str(grid_run / "dataset.jsonl"),
@@ -387,6 +460,8 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("train", "logit.reg = -1"),
     ("train", "train.split = 1.5"),
     ("train", "sim.n_episodes = 0"),
+    ("train", "logit.max_iters = 0"),
+    ("train", "logit.max_iters = -5"),
 ])
 def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
@@ -486,6 +561,8 @@ def test_ingest_invalid_json_leaves_no_partial_dataset(tmp_path):
     ("bbox", "2958"),  # iterating the string would read the box [2, 9, 5, 8]
     ("bbox", {"x": 1.0}),
     ("bbox", [295.0, 202.5, 50.0, 10**400]),  # no float holds it
+    ("camera", {**CAMERA, "fy": math.nan}),
+    ("camera", {**CAMERA, "cx": -math.inf}),
 ])
 def test_ingest_refuses_fields_of_the_wrong_json_type(tmp_path, field, value):
     src = tmp_path / "ann.jsonl"
@@ -516,6 +593,8 @@ def per_record_lines(records, fallback=None) -> str:
             continue
         depth = cam["fy"] * cam["height_m"] / dv
         lateral = ((x + w / 2.0) - cam["cx"]) * depth / cam["fx"]
+        if not (math.isfinite(lateral) and math.isfinite(depth)):
+            continue
         landmark = {"clip_id": str(rec["clip_id"]), "frame": rec["frame"], "x": lateral, "y": depth,
                     "action": rec["action_label"].strip().lower().replace(" ", "_"),
                     "occluded": rec["occluded"]}
@@ -527,8 +606,9 @@ OTHER_CAMERA = {"fx": 700.0, "fy": 650.0, "cx": 300.5, "cy": 250.25, "height_m":
 
 
 def mixed_annotations(n: int, seed: int) -> list[dict]:
-    """Accepted records of awkward text and numbers, with horizon and size
-    rejections among them; every third record carries its own camera."""
+    """Accepted records of awkward text and numbers, with horizon, size and
+    non-finite rejections among them; every third record carries its own
+    camera."""
     rng = np.random.default_rng(seed)
     clips = ['q"uote', "back\\slash", "café 歩行者", "nul\u0000", "plain"]
     records = []
@@ -569,10 +649,14 @@ def test_ingest_matches_the_per_record_rule_across_chunks_files_and_cameras(tmp_
 
     text = (out / "landmark_dataset.jsonl").read_text()
     assert text == per_record_lines(first + second, CAMERA)
-    assert "NaN" in text and "Infinity" in text and '\\u0000"' in text
+    assert "NaN" not in text and "Infinity" not in text and '\\u0000"' in text
     counters = manifest(out, "ingest")["counters"]
     assert counters["accepted"] == len(text.splitlines())
-    assert counters["rejected_horizon"] > 0 and counters["rejected_bad_bbox"] > 0
+    assert counters["rejected_horizon"] > 0
+    # Negative widths and NaN or infinite x, none of them also above the horizon.
+    non_finite = sum(1 for r in first + second if not math.isfinite(r["bbox"][0]))
+    negative = sum(1 for r in first + second if r["bbox"][2] < 0.0)
+    assert non_finite == 3 and counters["rejected_bad_bbox"] == negative + non_finite
     assert counters["accepted"] + counters["rejected_horizon"] + counters["rejected_bad_bbox"] == 57
     # One projection per camera per chunk: records with the fallback's own
     # values join its group.
@@ -728,7 +812,8 @@ def test_landmark_clip_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "unknown_action", "string_occluded"])
+@pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "nan_x", "infinite_y", "unknown_action",
+                                    "string_occluded"])
 def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     ds = landmark_dataset(tmp_path)
     lines = ds.read_text().splitlines()
@@ -738,6 +823,9 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     elif defect == "missing_x":
         del record["x"]
         lines[2] = json.dumps(record)
+    elif defect in ("nan_x", "infinite_y"):
+        record["x" if defect == "nan_x" else "y"] = math.nan if defect == "nan_x" else math.inf
+        lines[2] = json.dumps(record)  # written as NaN or Infinity, which json.loads reads
     elif defect == "unknown_action":
         record["action"] = "cartwheeling"
         lines[2] = json.dumps(record)

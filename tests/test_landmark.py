@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -378,6 +379,12 @@ def test_bbox_errors():
         bbox_to_landmark((295.0, 202.5, 0.0, 100.0), CAMERA)
     with pytest.raises(ValueError):
         CameraModel(fx=-1.0, fy=500.0, cx=320.0, cy=240.0, height_m=1.5)
+    for field in ("fx", "fy", "cx", "cy", "height_m"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CameraModel(**{"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "height_m": 1.5, field: value})
+    with pytest.raises(ValueError, match="non-finite"):
+        bbox_to_landmark((np.nan, 202.5, 50.0, 100.0), CAMERA)
     with pytest.raises(ValueError):
         bbox_to_landmark(np.zeros((2, 3)), CAMERA)
 
@@ -392,16 +399,21 @@ def project_reference(box, camera: CameraModel):
     if dv <= 0.0:
         return "horizon"
     depth = camera.fy * camera.height_m / dv
-    return (u - camera.cx) * depth / camera.fx, depth
+    lateral = (u - camera.cx) * depth / camera.fx
+    if not (math.isfinite(lateral) and math.isfinite(depth)):
+        return "bad_bbox"
+    return lateral, depth
 
 
 def float_bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-#: Zero and negative sizes, bottoms on and just below the horizon row, and NaN/inf entries.
+#: Zero and negative sizes, bottoms on and just below the horizon row, NaN/inf entries
+#: and finite entries whose lateral offset overflows.
 SPECIAL_BOXES = [(10.0, 200.0, 0.0, 50.0), (10.0, 200.0, 50.0, -0.0), (10.0, 200.0, -5.0, 50.0),
                  (10.0, 190.0, 5.0, 50.0), (10.0, 190.0, 5.0, np.nextafter(50.0, 100.0)),
+                 (1e308, 190.0, 5.0, np.nextafter(50.0, 100.0)),
                  (np.nan, 200.0, 50.0, 100.0), (10.0, 200.0, np.nan, 100.0), (10.0, 200.0, 50.0, np.nan),
                  (np.inf, 200.0, 50.0, 100.0), (10.0, np.inf, 50.0, 100.0), (10.0, -np.inf, 50.0, 100.0),
                  (-np.inf, 200.0, np.inf, 100.0), (10.0, 200.0, np.inf, 100.0), (295.0, 200.0, 50.0, 100.0),

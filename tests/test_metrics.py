@@ -14,7 +14,7 @@ from occlusense.metrics import (
     posterior_mass_at_truth,
     score_pair,
 )
-from oracles import brute_force_directed, brute_force_psi
+from oracles import brute_force_directed, brute_force_psi, looped_similarity_summary
 
 
 def psi(a, b):
@@ -212,30 +212,76 @@ def test_mean_and_se():
     mean, se = mean_and_se([1.0, 2.0, 3.0])
     assert mean == 2.0
     assert se == pytest.approx(math.sqrt(1.0 / 3.0))
+    assert mean_and_se(np.array([1.0, 2.0, 3.0])) == (mean, se)
     mean, se = mean_and_se([4.2])
     assert (mean, se) == (4.2, 0.0)
+    with pytest.raises(ValueError):
+        mean_and_se(np.array([]))
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
+def columns(episodes: dict[int, list[tuple[float, float]]]):
+    """(episode, t, psi) columns of per-episode (t, psi) series, in dict order."""
+    rows = [(ep, t, p) for ep, series in episodes.items() for t, p in series]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def test_aggregate_probes_start_mid_end():
     # two episodes with known psi time series
     ep1 = [(0.0, 4.0), (1.0, 2.0), (2.0, 0.0)]
     ep2 = [(0.0, 6.0), (0.5, 5.0), (1.0, 4.0), (1.5, 3.0)]
-    report = aggregate_similarity([ep1, ep2])
+    summary = aggregate_similarity(*columns({0: ep1, 1: ep2}))
     values = [p for _, p in ep1 + ep2]
-    assert report.n_frames == 7
-    assert report.psi_mean == pytest.approx(np.mean(values))
-    t0_mean, _, t0_n = report.probes["t0"]
-    assert t0_mean == pytest.approx((4.0 + 6.0) / 2)
-    assert t0_n == 2
-    end_mean, _, _ = report.probes["end"]
-    assert end_mean == pytest.approx((0.0 + 3.0) / 2)
-    # ep1 mid target t=1.0 -> psi 2.0; ep2 mid target 0.75 -> nearest frame
-    mid_mean, _, _ = report.probes["mid"]
-    assert mid_mean in (pytest.approx((2.0 + 5.0) / 2), pytest.approx((2.0 + 4.0) / 2))
-    d = report.to_dict()
-    assert set(d) == {"psi_mean", "psi_se", "n_frames", "probes"}
-    assert set(d["probes"]) == {"end", "mid", "t0"}
+    assert summary["n_frames"] == 7
+    assert summary["psi_mean"] == pytest.approx(np.mean(values))
+    assert summary["probes"]["t0"] == {"mean": 5.0, "se": 1.0, "n": 2}
+    assert summary["probes"]["end"]["mean"] == 1.5
+    # ep1's middle t=1.0 holds psi 2.0; ep2's middle 0.75 is as near t=0.5
+    # as t=1.0, and the tie goes to the earlier frame, psi 5.0.
+    assert summary["probes"]["mid"]["mean"] == 3.5
+    assert set(summary) == {"psi_mean", "psi_se", "n_frames", "probes"}
+    assert set(summary["probes"]) == {"end", "mid", "t0"}
+    assert summary == looped_similarity_summary([ep1, ep2])
+
+
+def test_aggregate_one_frame_episodes():
+    summary = aggregate_similarity(*columns({3: [(0.5, 7.0)], 4: [(0.25, 1.0), (0.5, 2.0)], 8: [(0.9, 4.0)]}))
+    assert summary["n_frames"] == 4
+    assert summary["probes"]["t0"]["mean"] == summary["probes"]["mid"]["mean"] == 4.0
+    assert summary["probes"]["end"]["mean"] == pytest.approx(13.0 / 3.0)
+    assert all(p["n"] == 3 for p in summary["probes"].values())
+    single = aggregate_similarity(*columns({0: [(1.5, 2.5)]}))
+    assert single == {"psi_mean": 2.5, "psi_se": 0.0, "n_frames": 1,
+                      "probes": {k: {"mean": 2.5, "se": 0.0, "n": 1} for k in ("end", "mid", "t0")}}
+
+
+def test_aggregate_splits_episodes_where_the_id_changes():
+    # Ids with gaps and out of order: every change of id starts an episode.
+    series = {17: [(0.25, 1.0), (0.5, 2.0)], 2: [(0.1, 3.0)], 40: [(0.0, 5.0), (0.25, 6.0), (0.5, 7.0)]}
+    summary = aggregate_similarity(*columns(series))
+    assert summary == looped_similarity_summary(list(series.values()))
+    assert summary["probes"]["t0"]["mean"] == 3.0
+    assert summary["probes"]["end"]["mean"] == 4.0
+    assert summary["probes"]["mid"]["mean"] == 10.0 / 3.0  # 1.0 (tie, earlier frame), 3.0 and 6.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_aggregate_matches_a_loop_over_episodes(seed):
+    """Times on a lattice of binary fractions make exact ties for the mid probe common."""
+    rng = np.random.default_rng(seed)
+    series = {}
+    for ep in np.sort(rng.choice(500, size=rng.integers(1, 40), replace=False)):
+        n = int(rng.integers(1, 12))
+        t = np.sort(rng.choice(np.arange(0.0, 3.0, 0.25), size=n, replace=False)).tolist()
+        series[int(ep)] = list(zip(t, rng.choice([0.0, 0.1, 1e-05, 2.0, rng.uniform(0, 9)], size=n).tolist()))
+    assert aggregate_similarity(*columns(series)) == looped_similarity_summary(list(series.values()))
+
+
+def test_aggregate_rejects_empty_or_mismatched_columns():
+    with pytest.raises(ValueError, match="no frames"):
+        aggregate_similarity(np.array([], dtype=int), np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="length"):
+        aggregate_similarity(np.array([0, 0]), np.array([0.0, 0.1]), np.array([1.0]))

@@ -45,3 +45,21 @@ def test_seed_psi_means_per_method_and_behaviour(tmp_path):
         ("fused", "stand"): pytest.approx(1.0),
         ("fused", "absent"): pytest.approx(4.0),
     }
+
+
+def test_each_seed_runs_through_the_same_bits_pipeline_runner(tmp_path, monkeypatch, capsys):
+    runs = []
+
+    def fake_run(tree, argvs):
+        runs.append((tree, argvs))
+        out = Path(argvs[0][argvs[0].index("--out") + 1])
+        episodes = [{"index": i, "behavior": b} for i, b in enumerate(seed_sweep.BEHAVIORS)]
+        (out / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in [{"type": "header"}, *episodes]))
+        (out / "eval_frames.csv").write_text("episode,t,method,psi\n" + "".join(
+            f"{i},0.5,standard,2.0\n{i},0.5,fused,1.0\n" for i in range(len(episodes))))
+
+    monkeypatch.setattr(seed_sweep.same_bits, "run_pipeline", fake_run)
+    assert seed_sweep.main(["--seeds", "3,5", "--episodes", "12", "--out", str(tmp_path)]) == 0
+    assert runs == [(seed_sweep.ROOT, seed_sweep.same_bits.stage_argvs("grid", seed, tmp_path / f"seed-{seed}",
+                                                                       None, 12, None)) for seed in (3, 5)]
+    assert "fused/standard" in capsys.readouterr().out

@@ -14,24 +14,29 @@ Usage (from the repository root):
     python3 tools/seed_sweep.py --seeds 0,3,7 --episodes 1440 --config my.cfg --out sweep/
 
 Each seed's artifacts stay in ``--out`` (a temporary directory by default).
-This is a report, not a test: it asserts nothing and exits 0 when every
-stage ran.
+The stages run through ``tools/same_bits.py``'s pipeline runner, with one
+BLAS thread.  This is a report, not a test: it asserts nothing and exits 0
+when every stage ran.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# same_bits.py is a script beside this one, not a package module.
+_spec = importlib.util.spec_from_file_location("same_bits", Path(__file__).resolve().parent / "same_bits.py")
+same_bits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bits)
+
 BEHAVIORS = ("bold_cross", "wait_then_cross", "stand", "absent")
 METHODS = ("standard", "fused")
 
@@ -43,17 +48,6 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
-
-
-def run_seed(seed: int, episodes: int, config: str | None, out: Path) -> None:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    common = ["--seed", str(seed), "--out", str(out)] + (["--config", config] if config else [])
-    dataset = str(out / "dataset.jsonl")
-    for argv in (["simulate", "--episodes", str(episodes)],
-                 ["train", "--dataset", dataset],
-                 ["eval", "--dataset", dataset, "--models", str(out)]):
-        subprocess.run([sys.executable, "-m", "occlusense", *argv, *common], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
 
 
 def seed_psi(out: Path) -> dict[tuple[str, str], float]:
@@ -109,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         for seed in args.seeds:
             out = base / f"seed-{seed}"
             out.mkdir(parents=True, exist_ok=True)
-            run_seed(seed, args.episodes, args.config, out)
+            same_bits.run_pipeline(ROOT, same_bits.stage_argvs("grid", seed, out, None, args.episodes, args.config))
             per_seed[seed] = seed_psi(out)
         print(f"psi per method, {args.episodes} episodes, config {args.config or 'defaults'}, "
               f"seeds {','.join(map(str, args.seeds))}")
