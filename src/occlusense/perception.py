@@ -73,12 +73,14 @@ class Obstacle:
             raise ValueError(f"half extents must be positive, got {self.half_extents}")
 
     def corners(self) -> np.ndarray:
-        """(4, 2) world-frame corner positions, counter-clockwise."""
+        """(4, 2) world-frame corner positions, counter-clockwise; (F, 4, 2)
+        for (F,) center coordinates."""
         hx, hy = self.half_extents
         local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
         c, s = math.cos(self.heading), math.sin(self.heading)
         rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.asarray(self.center)
+        center = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in self.center)), axis=-1)
+        return local @ rot.T + center[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -119,37 +121,62 @@ class Scan:
             raise ValueError("ranges must lie in [0, max_range]")
 
 
-def _ray_rectangle_t(ox, oy, dx, dy, rect: Obstacle) -> np.ndarray:
+def _slab(o, d, h):
+    """Entry and exit ray parameters of the slab |u| <= h along one axis,
+    elementwise over origins ``o`` and direction components ``d``.  A ray
+    parallel to the slab lies inside it for every t or for none."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = (-h - o) / d
+        t2 = (h - o) / d
+    parallel = d == 0.0
+    inside = np.where(np.abs(o) <= h, -np.inf, np.inf)
+    return np.where(parallel, inside, np.minimum(t1, t2)), np.where(parallel, -inside, np.maximum(t1, t2))
+
+
+def _ray_rectangle_t(o0, o1, d0, d1, rect: Obstacle) -> np.ndarray:
     """Smallest nonnegative ray parameter hitting the rectangle, inf on miss.
 
-    Uses the slab test in the rectangle's own frame, elementwise over
-    broadcast arrays: ray origins ``ox, oy`` (per-frame columns) and the
-    (n_beams,) unit directions ``dx, dy`` every frame shares.  A NaN
-    rectangle center compares false everywhere, so the rectangle is missed.
+    The slab test (Kay & Kajiya 1986) in the rectangle's own frame,
+    elementwise over ray origins ``o0, o1`` and unit directions ``d0, d1``
+    given in that frame.  A NaN origin compares false everywhere, so the
+    rectangle is missed.
     """
-    c, s = math.cos(rect.heading), math.sin(rect.heading)
-    vx, vy = ox - _per_frame(rect.center[0]), oy - _per_frame(rect.center[1])
-    o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
-    d0, d1 = dx * c + dy * s, dx * -s + dy * c
-
     hx, hy = rect.half_extents
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx1 = (-hx - o0) / d0
-        tx2 = (hx - o0) / d0
-        ty1 = (-hy - o1) / d1
-        ty2 = (hy - o1) / d1
-    tx_lo, tx_hi = np.minimum(tx1, tx2), np.maximum(tx1, tx2)
-    ty_lo, ty_hi = np.minimum(ty1, ty2), np.maximum(ty1, ty2)
-    # Beams parallel to a slab axis: inside the slab -> (-inf, inf), else miss.
-    for lo, hi, parallel, inside in ((tx_lo, tx_hi, d0 == 0.0, np.abs(o0) <= hx),
-                                     (ty_lo, ty_hi, d1 == 0.0, np.abs(o1) <= hy)):
-        lo[..., parallel] = np.where(inside, -np.inf, np.inf)
-        hi[..., parallel] = np.where(inside, np.inf, -np.inf)
-
+    tx_lo, tx_hi = _slab(o0, d0, hx)
+    ty_lo, ty_hi = _slab(o1, d1, hy)
     t_enter = np.maximum(tx_lo, ty_lo)
     t_exit = np.minimum(tx_hi, ty_hi)
     valid = (t_exit >= t_enter) & (t_exit >= 0.0)
     return np.where(valid, np.maximum(t_enter, 0.0), np.inf)
+
+
+def _bearing_windows(o0, o1, rect: Obstacle, offset: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First beam and beam count of the beams each frame can hit the
+    rectangle with, from (F,) ray origins ``o0, o1`` in its frame.
+
+    The window spans the bearings of the four corners seen from the origin,
+    widened by one beam on each side to absorb rounding; ``offset`` turns a
+    bearing in the rectangle's frame into one in the sensor's.  Seen from
+    outside, every corner lies less than pi from the center's bearing, so
+    the corners are measured about it.  A frame whose origin lies inside or
+    on the rectangle gets all n beams, and one with a NaN origin none.
+
+    The corners are (+-hx, +-hy) about the very origins the slab test uses.
+    World-frame corners round differently: with the origin on a corner,
+    a window built from them can leave out beams the slab test hits.
+    """
+    hx, hy = rect.half_extents
+    step = TWO_PI / n
+    center = np.arctan2(-o1, -o0)[:, None]
+    corner = np.arctan2(np.array([hy, hy, -hy, -hy]) - o1[:, None], np.array([hx, -hx, -hx, hx]) - o0[:, None])
+    about = np.mod(corner - center + math.pi, TWO_PI) - math.pi
+    first = np.ceil((center[:, 0] + about.min(axis=1) + offset) / step) - 1.0
+    count = np.floor((center[:, 0] + about.max(axis=1) + offset) / step) + 2.0 - first
+    full = ((np.abs(o0) <= hx) & (np.abs(o1) <= hy)) | (count >= n)
+    absent = np.isnan(count) & ~full
+    first = np.where(full | absent, 0.0, first).astype(np.intp)
+    count = np.where(full, n, np.where(absent, 0.0, count)).astype(np.intp)
+    return first, count
 
 
 def raycast_scan(
@@ -163,17 +190,36 @@ def raycast_scan(
     Each beam reports the nearest rectangle intersection, capped at
     ``max_range``; beams that strike nothing report ``max_range`` with
     ``hit`` False.  A pose or obstacles holding (F,) positions cast one
-    sweep per frame in one call.
+    sweep per frame in one call.  Each rectangle is tested only on the
+    (frame, beam) pairs inside its bearing window; every other beam misses
+    it.
     """
     if n_beams < 1:
         raise ValueError("need at least one beam")
     bearings = TWO_PI * np.arange(n_beams) / n_beams
     world_angles = ego.heading + bearings
     dx, dy = np.cos(world_angles), np.sin(world_angles)
-    ox, oy = _per_frame(ego.x), _per_frame(ego.y)
-    t_min = np.full(np.broadcast_shapes(ox.shape, oy.shape, dx.shape), np.inf)
+    frames = np.broadcast_shapes(np.shape(ego.x), np.shape(ego.y),
+                                 *(np.shape(c) for rect in scene.obstacles for c in rect.center))
+    n_frames = math.prod(frames)
+
+    def flat(coordinate) -> np.ndarray:
+        return np.broadcast_to(np.asarray(coordinate, dtype=float), frames).reshape(n_frames)
+
+    ox, oy = flat(ego.x), flat(ego.y)
+    t_min = np.full(n_frames * n_beams, np.inf)
     for rect in scene.obstacles:
-        t_min = np.minimum(t_min, _ray_rectangle_t(ox, oy, dx, dy, rect))
+        c, s = math.cos(rect.heading), math.sin(rect.heading)
+        vx, vy = ox - flat(rect.center[0]), oy - flat(rect.center[1])
+        o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
+        d0, d1 = dx * c + dy * s, dx * -s + dy * c
+        first, count = _bearing_windows(o0, o1, rect, rect.heading - ego.heading, n_beams)
+        # Each frame's candidates are `count` consecutive beams from `first`, wrapping at n.
+        frame = np.repeat(np.arange(n_frames), count)
+        beam = (np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(frame))) % n_beams
+        pair = frame * n_beams + beam
+        t_min[pair] = np.minimum(t_min[pair], _ray_rectangle_t(o0[frame], o1[frame], d0[beam], d1[beam], rect))
+    t_min = t_min.reshape(*frames, n_beams)
     hits = t_min <= max_range
     ranges = np.where(hits, t_min, max_range)
     return Scan(ego, ranges, hits, max_range)

@@ -230,3 +230,51 @@ def looped_similarity_summary(episodes: list[list[tuple[float, float]]]) -> dict
         m, s = mean_and_se(values)
         summary["probes"][key] = {"mean": m, "se": s, "n": len(values)}
     return summary
+
+
+# ---------------------------------------------------------------------------
+# Ray casting by the full sweep: every beam against every rectangle.
+# ---------------------------------------------------------------------------
+
+def _full_sweep_rectangle_t(ox, oy, dx, dy, rect: Obstacle) -> np.ndarray:
+    """The slab test on every (frame, beam) pair: per-frame origin columns
+    ``ox, oy`` against the (n_beams,) directions ``dx, dy``."""
+    c, s = math.cos(rect.heading), math.sin(rect.heading)
+    vx = ox - np.asarray(rect.center[0], dtype=float)[..., None]
+    vy = oy - np.asarray(rect.center[1], dtype=float)[..., None]
+    o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
+    d0, d1 = dx * c + dy * s, dx * -s + dy * c
+
+    hx, hy = rect.half_extents
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tx1 = (-hx - o0) / d0
+        tx2 = (hx - o0) / d0
+        ty1 = (-hy - o1) / d1
+        ty2 = (hy - o1) / d1
+    tx_lo, tx_hi = np.minimum(tx1, tx2), np.maximum(tx1, tx2)
+    ty_lo, ty_hi = np.minimum(ty1, ty2), np.maximum(ty1, ty2)
+    # Beams parallel to a slab axis: inside the slab -> (-inf, inf), else miss.
+    for lo, hi, parallel, inside in ((tx_lo, tx_hi, d0 == 0.0, np.abs(o0) <= hx),
+                                     (ty_lo, ty_hi, d1 == 0.0, np.abs(o1) <= hy)):
+        lo[..., parallel] = np.where(inside, -np.inf, np.inf)
+        hi[..., parallel] = np.where(inside, np.inf, -np.inf)
+
+    t_enter = np.maximum(tx_lo, ty_lo)
+    t_exit = np.minimum(tx_hi, ty_hi)
+    valid = (t_exit >= t_enter) & (t_exit >= 0.0)
+    return np.where(valid, np.maximum(t_enter, 0.0), np.inf)
+
+
+def full_sweep_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int, max_range: float):
+    """(ranges, hits) of every beam tested against every rectangle, one
+    sweep per frame of a stacked pose or scene."""
+    bearings = 2.0 * math.pi * np.arange(n_beams) / n_beams
+    world_angles = ego.heading + bearings
+    dx, dy = np.cos(world_angles), np.sin(world_angles)
+    ox = np.asarray(ego.x, dtype=float)[..., None]
+    oy = np.asarray(ego.y, dtype=float)[..., None]
+    t_min = np.full(np.broadcast_shapes(ox.shape, oy.shape, dx.shape), np.inf)
+    for rect in scene.obstacles:
+        t_min = np.minimum(t_min, _full_sweep_rectangle_t(ox, oy, dx, dy, rect))
+    hits = t_min <= max_range
+    return np.where(hits, t_min, max_range), hits

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occlusense.grid import GridSpec, new_uniform_grid
 from occlusense.perception import (
@@ -14,7 +16,7 @@ from occlusense.perception import (
     visibility_mask,
     wrap_angle,
 )
-from oracles import dense_resampled_scan, random_occlusion_scene, rule_visibility_mask
+from oracles import dense_resampled_scan, full_sweep_scan, random_occlusion_scene, rule_visibility_mask
 
 ORIGIN = Pose2D(0.0, 0.0, 0.0)
 
@@ -45,6 +47,14 @@ def test_obstacle_validation_and_corners():
     corners = unit_square(5.0, 0.0).corners()
     want = {(5.5, 0.5), (4.5, 0.5), (4.5, -0.5), (5.5, -0.5)}
     assert {(round(x, 9), round(y, 9)) for x, y in corners} == want
+
+
+def test_stacked_corners_are_each_frames_corners():
+    rect = Obstacle(center=(np.array([1.0, -2.0, 3.5]), 0.5), half_extents=(2.0, 0.75), heading=0.4)
+    stacked = rect.corners()
+    assert stacked.shape == (3, 4, 2)
+    for i, x in enumerate(rect.center[0]):
+        assert np.array_equal(stacked[i], Obstacle((x, 0.5), rect.half_extents, rect.heading).corners())
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +108,67 @@ def test_raycast_matches_independent_sampler():
         _, _, coarse = dense_resampled_scan(scene, ego, 90, 50.0, density=4)
         assert np.array_equal(scan.hits, coarse["hits"])
         np.testing.assert_allclose(scan.ranges, coarse["ranges"], rtol=0, atol=1e-9)
+
+
+#: Headings that make some beam parallel to a slab axis, and any other.
+HEADINGS = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]),
+                     st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(scene, ego, n_beams) with scalar or (F,) positions.  Each rectangle
+    is placed anywhere, straight ahead of the ego (its bearing interval
+    straddles beam 0), absent from some frames (NaN center), or with the
+    ego moved inside it, onto one of its edges or onto one of its corners."""
+    n_beams = draw(st.sampled_from([1, 2, 7, 360]))
+    n_frames = draw(st.sampled_from([None, 1, 4]))  # None: scalar positions
+
+    def coordinate(lo, hi):
+        values = np.array(draw(st.lists(st.floats(lo, hi), min_size=n_frames or 1, max_size=n_frames or 1)))
+        return values if n_frames else float(values[0])
+
+    heading = draw(HEADINGS)
+    ex, ey = coordinate(-10.0, 10.0), coordinate(-10.0, 10.0)
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3))):
+        half = (draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0)))
+        cx, cy = coordinate(-15.0, 15.0), coordinate(-15.0, 15.0)
+        placement = draw(st.sampled_from(["anywhere", "ahead", "absent", "inside", "edge", "corner"]))
+        if placement == "ahead":
+            r = coordinate(1.0, 20.0)
+            cx, cy = ex + r * math.cos(heading), ey + r * math.sin(heading)
+        elif placement == "absent":
+            gone = np.array(draw(st.lists(st.booleans(), min_size=n_frames or 1, max_size=n_frames or 1)))
+            cx = np.where(gone, np.nan, cx) if n_frames else (math.nan if gone[0] else cx)
+        rect = Obstacle((cx, cy), half, draw(HEADINGS))
+        corners = rect.corners()
+        k = draw(st.integers(0, 3))
+        if placement == "inside":
+            ex, ey = (corners[..., k, 0] + cx) / 2.0, (corners[..., k, 1] + cy) / 2.0
+        elif placement == "edge":
+            u = draw(st.floats(0.0, 1.0))
+            a, b = corners[..., k, :], corners[..., (k + 1) % 4, :]
+            ex, ey = a[..., 0] + u * (b[..., 0] - a[..., 0]), a[..., 1] + u * (b[..., 1] - a[..., 1])
+        elif placement == "corner":
+            ex, ey = corners[..., k, 0], corners[..., k, 1]
+        obstacles.append(rect)
+    return SceneGeometry(obstacles), Pose2D(ex, ey, heading), n_beams
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_cases())
+@example((SceneGeometry([unit_square(5.0, 0.0)]), ORIGIN, 360))  # straddles bearing 0, beam 0 parallel
+@example((SceneGeometry([unit_square(0.5, 0.5)]), ORIGIN, 7))    # origin on a corner
+@example((SceneGeometry([unit_square(0.5, 0.0)]), ORIGIN, 2))    # origin on an edge
+@example((SceneGeometry([Obstacle((np.array([3.0, np.nan]), 0.0), (1.0, 1.0))]),
+          Pose2D(np.zeros(2), 0.0, 0.0), 1))                      # absent in frame 1
+def test_raycast_is_bit_identical_to_the_full_sweep(case):
+    scene, ego, n_beams = case
+    scan = raycast_scan(scene, ego, n_beams, 20.0)
+    ranges, hits = full_sweep_scan(scene, ego, n_beams, 20.0)
+    assert np.array_equal(scan.ranges, ranges)
+    assert np.array_equal(scan.hits, hits)
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,13 @@ def test_each_seed_runs_through_the_same_bits_pipeline_runner(tmp_path, monkeypa
     assert runs == [(seed_sweep.ROOT, seed_sweep.same_bits.stage_argvs("grid", seed, tmp_path / f"seed-{seed}",
                                                                        None, 12, None)) for seed in (3, 5)]
     assert "fused/standard" in capsys.readouterr().out
+
+
+def test_row_without_values_prints_dashes(capsys):
+    # No seed scored a "stand" frame, and seed 2 scored no frame at all.
+    per_seed = {1: {("standard", "all"): 2.0, ("fused", "all"): 1.0}, 2: {}}
+    seed_sweep.print_table(per_seed)
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows["standard", "stand"] == ["-"] * 6
+    assert rows["standard", "all"] == ["2.000", "0.000", "2.000", "2.000", "2.000", "-"]
+    assert rows["fused/standard", "all"] == ["0.500", "0.000", "0.500", "0.500", "0.500", "-"]

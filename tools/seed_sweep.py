@@ -71,18 +71,22 @@ def seed_psi(out: Path) -> dict[tuple[str, str], float]:
 def print_table(per_seed: dict[int, dict[tuple[str, str], float]]) -> None:
     seeds = sorted(per_seed)
     rows = [(m, b) for m in METHODS for b in ("all", *BEHAVIORS)]
-    ratios = {s: per_seed[s]["fused", "all"] / per_seed[s]["standard", "all"] for s in seeds}
+    ratios = {s: per_seed[s]["fused", "all"] / per_seed[s]["standard", "all"]
+              if {("fused", "all"), ("standard", "all")} <= per_seed[s].keys() else None for s in seeds}
     header = f"{'method':<15} {'behaviour':<16} {'mean':>7} {'sd':>7} {'min':>7} {'max':>7}  " + \
         " ".join(f"{'s' + str(s):>7}" for s in seeds)
     print(header)
     print("-" * len(header))
 
+    def cell(v: float | None) -> str:
+        return f"{'-':>7}" if v is None else f"{v:7.3f}"
+
     def line(label: str, behaviour: str, values: list[float | None]) -> None:
+        # A row without a value at any seed prints dashes for its statistics.
         present = [v for v in values if v is not None]
-        sd = statistics.stdev(present) if len(present) > 1 else 0.0
-        cells = " ".join(f"{'-':>7}" if v is None else f"{v:7.3f}" for v in values)
-        print(f"{label:<15} {behaviour:<16} {statistics.fmean(present):7.3f} {sd:7.3f} "
-              f"{min(present):7.3f} {max(present):7.3f}  {cells}")
+        stats = (statistics.fmean(present), statistics.stdev(present) if len(present) > 1 else 0.0,
+                 min(present), max(present)) if present else (None,) * 4
+        print(f"{label:<15} {behaviour:<16} {' '.join(map(cell, stats))}  {' '.join(map(cell, values))}")
 
     for method, behaviour in rows:
         line(method, behaviour, [per_seed[s].get((method, behaviour)) for s in seeds])
