@@ -87,6 +87,8 @@ class ActionletModel:
             raise ValueError(f"expected centroids of shape ({self.k}, {FEATURE_DIM})")
         if self.feature_mean.shape != (FEATURE_DIM,) or self.feature_scale.shape != (FEATURE_DIM,):
             raise ValueError("scaler shape mismatch")
+        if not all(np.isfinite(a).all() for a in (self.centroids, self.feature_mean, self.feature_scale)):
+            raise ValueError("centroids and feature scaler must be finite")
         if np.any(self.feature_scale <= 0.0):
             raise ValueError("feature scales must be strictly positive")
 

@@ -162,6 +162,9 @@ def _split(value: str) -> tuple[str, ...]:
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+#: Every float key, ``sim.*``, ``camera.*`` and ``region.*`` included, is
+#: parsed by ``_FLOAT`` (or by a ``_checked`` rule built on it).
+_FLOAT = _checked(float, math.isfinite, "finite")
 
 #: Flat config key -> (PipelineConfig field, parser).  ``sim.*``,
 #: ``camera.*`` and ``region.{x,y}_{min,max}`` are handled by prefix.
@@ -171,23 +174,23 @@ _KEYS = {
     "out_dir": ("out_dir", str),
     "grid.width": ("grid_width", int),
     "grid.height": ("grid_height", int),
-    "grid.resolution": ("grid_resolution", float),
+    "grid.resolution": ("grid_resolution", _FLOAT),
     "grid.frame": ("grid_frame", _one_of(*GRID_FRAMES)),
     "sim.n_episodes": ("n_episodes", _COUNT),
-    "train.split": ("train_split", _checked(float, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
+    "train.split": ("train_split", _checked(_FLOAT, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
     "train.k": ("k_actionlets", _COUNT),
-    "train.alpha": ("smoothing_alpha", _checked(float, lambda v: v >= 0.0, "nonnegative")),
+    "train.alpha": ("smoothing_alpha", _checked(_FLOAT, lambda v: v >= 0.0, "nonnegative")),
     "train.stride": ("train_stride", _COUNT),
     "eval.stride": ("eval_stride", _COUNT),
     "eval.methods": ("eval_methods", _checked(_split, lambda ms: set(ms) <= set(EVAL_METHODS),
                                               f"methods from {EVAL_METHODS}")),
     "eval.region": ("eval_region", _one_of("full", "occluded")),
-    "eval.threshold": ("psi_threshold", _checked(float, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
+    "eval.threshold": ("psi_threshold", _checked(_FLOAT, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
     "eval.n_beams": ("n_beams", _COUNT),
-    "eval.max_range": ("max_range", _checked(float, lambda v: v > 0.0, "positive")),
-    "logit.reg": ("logit_reg", _checked(float, lambda v: v >= 0.0, "nonnegative")),
+    "eval.max_range": ("max_range", _checked(_FLOAT, lambda v: v > 0.0, "positive")),
+    "logit.reg": ("logit_reg", _checked(_FLOAT, lambda v: v >= 0.0, "nonnegative")),
     "logit.max_iters": ("logit_max_iters", _COUNT),
-    "region.step": ("region_step", float),
+    "region.step": ("region_step", _FLOAT),
 }
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _CAMERA_KEYS = {"fx", "fy", "cx", "cy", "height_m"}
@@ -212,13 +215,13 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
                 setattr(cfg, attr, parse(value))
             elif prefix == "sim" and name in _SCENARIO_KEYS:
                 tuple_valued = isinstance(getattr(cfg.scenario, name), tuple)
-                scenario_kwargs[name] = tuple(map(float, _split(value))) if tuple_valued else float(value)
+                scenario_kwargs[name] = tuple(map(_FLOAT, _split(value))) if tuple_valued else _FLOAT(value)
             elif prefix == "camera" and name in _CAMERA_KEYS:
-                camera[name] = float(value)
+                camera[name] = _FLOAT(value)
             elif prefix == "region" and name in _REGION_KEYS:
                 axis, end = name.split("_")
                 lo, hi = getattr(cfg, f"region_{axis}")
-                setattr(cfg, f"region_{axis}", (float(value), hi) if end == "min" else (lo, float(value)))
+                setattr(cfg, f"region_{axis}", (_FLOAT(value), hi) if end == "min" else (lo, _FLOAT(value)))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         except (ValueError, TypeError) as exc:
@@ -480,6 +483,7 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
         try:
             model = load_actionlet_model(str(mdir / "actionlets.json"))
             table = load_likelihood_table(str(mdir / "likelihoods.json"))
+            table.validate()
         except (OSError, ValueError, KeyError) as exc:
             raise DataError(f"cannot load behavior models from {models_dir}: {exc}") from exc
         if not table.spec.layout_matches(cfg.grid_template()):
@@ -510,14 +514,12 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             spec_t = anchored_spec_at(template, log, frames)
             truth = ground_truth_grid(log, frames, spec_t)
             scan = raycast_scan(log.scene_at(frames), log.ego_pose(frames), cfg.n_beams, cfg.max_range)
-            mask = None
-            scored = np.ones(len(frames), dtype=bool)
-            if cfg.eval_region == "occluded":
-                mask = visibility_mask(scan, spec_t)
-                scored = mask.any(axis=1)
-                if not scored.any():
-                    continue
-            base = standard_inverse_update(new_uniform_grid(spec_t), scan)
+            occluded, hit = visibility_mask(scan, spec_t)
+            mask = occluded if cfg.eval_region == "occluded" else None
+            scored = np.ones(len(frames), dtype=bool) if mask is None else mask.any(axis=1)
+            if not scored.any():
+                continue
+            base = standard_inverse_update(new_uniform_grid(spec_t), occluded, hit)
 
             predictions = {}
             if "standard" in cfg.eval_methods:

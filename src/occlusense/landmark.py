@@ -108,6 +108,8 @@ class LogitModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (N_ACTIONS, N_FEATURES):
             raise ValueError(f"weights must have shape ({N_ACTIONS}, {N_FEATURES})")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
 
     def predict_proba(self, xy: np.ndarray) -> np.ndarray:
         """(m, 5) action distributions for (m, 2) positions."""

@@ -115,8 +115,8 @@ class Scan:
             raise ValueError("scan must contain at least one beam")
         if self.hits.shape != self.ranges.shape:
             raise ValueError("range and hit arrays must share one shape")
-        if not (self.max_range > 0.0):
-            raise ValueError("max_range must be positive")
+        if not (0.0 < self.max_range < math.inf):
+            raise ValueError("max_range must be positive and finite")
         if np.any(self.ranges < 0.0) or np.any(self.ranges > self.max_range + 1e-9):
             raise ValueError("ranges must lie in [0, max_range]")
 
@@ -225,7 +225,7 @@ def raycast_scan(
     return Scan(ego, ranges, hits, max_range)
 
 
-def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def visibility_mask(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The occlusion rule: (occluded, hit) masks over flat cell indices.
 
     Each cell is judged by the beam nearest its bearing: beam
@@ -255,23 +255,21 @@ def _classify_cells(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
     return behind_hit | beyond_range, hit
 
 
-def visibility_mask(scan: Scan, spec: GridSpec) -> np.ndarray:
-    """Boolean occluded-mask over flat cell indices (True = occluded)."""
-    return _classify_cells(scan, spec)[0]
-
-
-def standard_inverse_update(grid: OccupancyGrid, scan: Scan) -> OccupancyGrid:
+def standard_inverse_update(grid: OccupancyGrid, occluded: np.ndarray, hit: np.ndarray) -> OccupancyGrid:
     """Classical inverse-sensor update of every directly observed cell.
 
-    Cells a beam passes through get the free update ``P_FREE_UPDATE``, the
-    cell the beam terminates in gets the occupied update ``P_OCC_UPDATE``,
-    and occluded cells (exactly those flagged by :func:`visibility_mask`)
-    keep their prior untouched.  The update constants are the posterior a
-    0.5-prior cell would take, i.e. the cell is updated with likelihood pair
-    (p, 1 - p).  A one-frame prior serves as the prior of every frame of a
-    stacked scan.
+    ``occluded`` and ``hit`` are the masks :func:`visibility_mask` gives
+    for the grid's frames.  Cells a beam passes through (neither occluded
+    nor hit) get the free update ``P_FREE_UPDATE``, the cell the beam
+    terminates in gets the occupied update ``P_OCC_UPDATE``, and occluded
+    cells keep their prior untouched.  The update constants are the
+    posterior a 0.5-prior cell would take, i.e. the cell is updated with
+    likelihood pair (p, 1 - p).  A one-frame prior serves as the prior of
+    every frame of stacked masks.
     """
-    occluded, hit = _classify_cells(scan, grid.spec)
+    if occluded.shape != hit.shape or occluded.shape[-1:] != (grid.spec.n_cells,):
+        raise ValueError(f"occluded and hit masks must share one shape ending in {grid.spec.n_cells} cells, "
+                         f"got {occluded.shape} and {hit.shape}")
     free = ~occluded & ~hit
     p = np.broadcast_to(grid.probs, occluded.shape).copy()
     p[free] = bayes_cell_update(p[free], P_FREE_UPDATE, 1.0 - P_FREE_UPDATE)

@@ -176,9 +176,10 @@ class EpisodeLog:
     """Time series of one episode at the configured log rate.
 
     Positions are centers; the occluder's front bumper is available as
-    ``occ_front_x``.  ``ped_y`` is NaN and ``ped_speed`` 0 wherever
-    ``ped_present`` is False.  Scene geometry is derived on demand from the
-    stored states rather than persisted per frame.
+    ``occ_front_x``.  ``ped_y`` is NaN and ``ped_speed`` 0 wherever the
+    pedestrian is absent, so ``ped_present`` is derived from ``ped_y``.
+    Scene geometry is derived on demand from the stored states rather than
+    persisted per frame.
     """
 
     t: np.ndarray
@@ -186,7 +187,6 @@ class EpisodeLog:
     occ_x: np.ndarray
     occ_speed: np.ndarray
     occ_accel: np.ndarray
-    ped_present: np.ndarray
     ped_y: np.ndarray
     ped_speed: np.ndarray
     scenario: Scenario
@@ -194,6 +194,11 @@ class EpisodeLog:
     @property
     def n_frames(self) -> int:
         return len(self.t)
+
+    @property
+    def ped_present(self) -> np.ndarray:
+        """Frames the pedestrian is in the scene: those with a ``ped_y``."""
+        return ~np.isnan(self.ped_y)
 
     @property
     def config(self) -> ScenarioConfig:
@@ -304,7 +309,6 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
     occ_x = np.empty((n_eps, n))
     occ_speed = np.empty((n_eps, n))
     occ_accel = np.zeros((n_eps, n))
-    ped_present = np.zeros((n_eps, n), dtype=bool)
     ped_y = np.full((n_eps, n), np.nan)
     ped_speed_arr = np.zeros((n_eps, n))
 
@@ -327,7 +331,6 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
 
         occ_x[:, i] = x
         occ_speed[:, i] = v
-        ped_present[:, i] = present
         ped_y[:, i] = np.where(present, y_ped, np.nan)
         ped_speed_arr[:, i] = np.where(present & stepping, ped_speed, 0.0)
 
@@ -378,7 +381,6 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
             occ_x=occ_x[e, :m],
             occ_speed=occ_speed[e, :m],
             occ_accel=occ_accel[e, :m],
-            ped_present=ped_present[e, :m],
             ped_y=ped_y[e, :m],
             ped_speed=ped_speed_arr[e, :m],
             scenario=s,
@@ -455,8 +457,7 @@ def _dump(obj) -> str:
 
 
 #: The :class:`EpisodeLog` signals a dataset record holds, one array each.
-#: ``ped_y`` is null in frames without a pedestrian, and the reader derives
-#: ``ped_present`` from those nulls.
+#: ``ped_y`` is null in frames without a pedestrian, and reads back as NaN.
 _COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_y", "ped_speed")
 
 
@@ -561,4 +562,4 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
         if name != "ped_y" and np.isnan(values).any():
             raise DataError(f"{path}: episode {index} has a null {name} value at frame "
                             f"{int(np.argmax(np.isnan(values)))}")
-    return EpisodeLog(**columns, ped_present=~np.isnan(columns["ped_y"]), scenario=scenario)
+    return EpisodeLog(**columns, scenario=scenario)

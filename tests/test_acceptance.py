@@ -296,6 +296,6 @@ def test_criterion_8_visibility_matches_dense_ray_oracle():
             # same story before their visibility labels are compared.
             assert np.array_equal(scan.hits, coarse["hits"])
             assert np.allclose(scan.ranges, coarse["ranges"], atol=1e-9, rtol=0.0)
-            mask = visibility_mask(scan, spec)
+            mask = visibility_mask(scan, spec)[0]
             reference = rule_visibility_mask(spec, ego, coarse, max_range)
             assert np.array_equal(mask, reference)

@@ -386,6 +386,70 @@ def test_eval_rejects_models_that_do_not_belong_together(grid_run, tmp_path, ext
     assert f"k={doc['k']}" in manifest(out, "eval")["error"]
 
 
+@pytest.mark.parametrize("defect", ["nan_likelihood", "zero_action", "nan_centroid"])
+def test_eval_rejects_non_finite_or_degenerate_models_with_exit_2(grid_run, tmp_path, defect):
+    """A likelihood table that fails validation, or an actionlet model with a
+    NaN centroid, is refused at load time as bad input data."""
+    models = tmp_path / "models"
+    models.mkdir()
+    docs = {name: json.loads((grid_run / name).read_text()) for name in ("actionlets.json", "likelihoods.json")}
+    if defect == "nan_likelihood":
+        docs["likelihoods.json"]["entries"][3][1][0] = math.nan
+    elif defect == "zero_action":
+        for cell in docs["likelihoods.json"]["entries"]:
+            cell[2] = [0.0, 0.0]
+    else:
+        docs["actionlets.json"]["centroids"][1][4] = math.nan
+    for name, doc in docs.items():
+        (models / name).write_text(json.dumps(doc))  # NaN is written as NaN, which json.load reads
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(models),
+                 "--seed", "11", "--out", str(out)]) == 2
+    error = manifest(out, "eval")["error"]
+    assert error.startswith("cannot load behavior models")
+    assert ("must be finite" if defect == "nan_centroid" else "must sum to 1") in error
+    assert sorted(p.name for p in out.iterdir()) == ["manifest_eval.json"]
+
+
+@pytest.mark.parametrize("region", ["full", "occluded"])
+def test_eval_grid_labels_each_episode_once(grid_run, tmp_path, monkeypatch, region):
+    """One occlusion-rule call per evaluated episode; its two masks are what
+    the standard update takes and, on occluded cells, the psi mask."""
+    import occlusense.cli as cli
+
+    label, update, score = cli.visibility_mask, cli.standard_inverse_update, cli.score_pair
+    labelled, updated, psi_masks = [], [], []
+
+    def labelling(scan, spec):
+        labelled.append(label(scan, spec))
+        return labelled[-1]
+
+    def updating(grid, occluded, hit):
+        updated.append((occluded, hit))
+        return update(grid, occluded, hit)
+
+    def scoring(predicted, truth, mask):
+        psi_masks.append(mask)
+        return score(predicted, truth, mask)
+
+    monkeypatch.setattr("occlusense.cli.visibility_mask", labelling)
+    monkeypatch.setattr("occlusense.cli.standard_inverse_update", updating)
+    monkeypatch.setattr("occlusense.cli.score_pair", scoring)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"eval.methods = standard, fused\neval.region = {region}\n"
+                   "eval.stride = 6\neval.n_beams = 120\n")
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(grid_run),
+                 "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+
+    assert len(labelled) == manifest(out, "eval")["counters"]["episodes_eval"] == 8
+    assert updated and all(any(o is lo and h is lh for lo, lh in labelled) for o, h in updated)
+    if region == "full":
+        assert len(updated) == len(labelled) and psi_masks == [None] * 2 * len(labelled)
+    else:
+        assert psi_masks and all(any(m is lo for lo, _ in labelled) for m in psi_masks)
+
+
 def test_truncated_dataset_exits_2(grid_run, tmp_path):
     text = (grid_run / "dataset.jsonl").read_text()
     truncated = tmp_path / "dataset.jsonl"
@@ -462,6 +526,17 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("train", "sim.n_episodes = 0"),
     ("train", "logit.max_iters = 0"),
     ("train", "logit.max_iters = -5"),
+    ("train", "train.alpha = inf"),
+    ("train", "sim.log_rate = inf"),
+    ("train", "sim.d0_range = 25, nan"),
+    ("train", "logit.reg = inf"),
+    ("train", "grid.resolution = inf"),
+    ("train", "grid.resolution = nan"),
+    ("eval", "eval.max_range = inf"),
+    ("eval", "eval.threshold = nan"),
+    ("eval", "region.step = inf"),
+    ("eval", "region.x_min = nan"),
+    ("eval", "camera.fx = inf"),
 ])
 def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
@@ -842,6 +917,19 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
         argv += ["--models", str(models)]
     assert main(argv) == 2
     assert f"{ds}:3: bad landmark record" in manifest(out, command)["error"]
+
+
+def test_eval_landmark_non_finite_weight_exits_2(tmp_path):
+    ds = landmark_dataset(tmp_path)
+    models = tmp_path / "models"
+    models.mkdir()
+    doc = LogitModel(np.zeros((5, 4)), reg=0.01).to_dict()
+    doc["weights"][2][1] = math.nan
+    (models / "logit.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["eval", "--dataset", str(ds), "--mode", "landmark", "--models", str(models),
+                 "--out", str(out)]) == 2
+    assert "cannot load logit model: weights must be finite" in manifest(out, "eval")["error"]
 
 
 def test_eval_landmark_uniform_model_matches_prior_exactly(tmp_path):

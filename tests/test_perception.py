@@ -189,6 +189,9 @@ def test_scan_validation_errors():
         Scan(ORIGIN, np.array([1.0, 2.0, 6.0]), h, 5.0)
     with pytest.raises(ValueError):
         Scan(ORIGIN, r, h, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Scan(ORIGIN, r, h, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +211,11 @@ def blocked_scan():
 def test_all_miss_scan_leaves_everything_visible():
     spec = GridSpec(3, 3, 1.0, origin=(5.0, 1.0), frame="world")
     scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=50.0)
-    assert not visibility_mask(scan, spec).any()
+    assert not visibility_mask(scan, spec)[0].any()
 
 
 def test_shadow_starts_half_cell_behind_hit():
-    mask = visibility_mask(blocked_scan(), column_grid())
+    mask = visibility_mask(blocked_scan(), column_grid())[0]
     # hit range 4.5: cell at 5.8 is shadowed, 4.8 holds the surface, 3.8 is in front
     assert mask.tolist() == [True, False, False]
 
@@ -221,13 +224,13 @@ def test_cell_nearer_than_every_hit_is_visible():
     scene = SceneGeometry([unit_square(10.0, 0.0)])
     scan = raycast_scan(scene, ORIGIN, n_beams=360, max_range=50.0)
     spec = GridSpec(3, 3, 1.0, origin=(6.0, 1.0), frame="world")
-    assert not visibility_mask(scan, spec).any()
+    assert not visibility_mask(scan, spec)[0].any()
 
 
 def test_beyond_max_range_is_occluded():
     scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=5.0)
     spec = GridSpec(1, 2, 1.0, origin=(6.0, 0.0), frame="world")
-    mask = visibility_mask(scan, spec)
+    mask = visibility_mask(scan, spec)[0]
     # 6.0 > max_range, 5.0 == max_range
     assert mask.tolist() == [True, False]
 
@@ -239,7 +242,7 @@ def test_visibility_matches_rule_oracle_on_random_scenes():
         scan = raycast_scan(scene, ego, n_beams=360, max_range=50.0)
         _, _, coarse = dense_resampled_scan(scene, ego, 360, 50.0, density=1)
         want = rule_visibility_mask(spec, ego, coarse, 50.0)
-        assert np.array_equal(visibility_mask(scan, spec), want)
+        assert np.array_equal(visibility_mask(scan, spec)[0], want)
 
 
 def _nearest_beam_by_argmin(theta: float, n: int) -> int:
@@ -269,7 +272,7 @@ def test_nearest_beam_matches_argmin_over_bearings(n):
             beam = _nearest_beam_by_argmin(theta, n)
             hits = np.arange(n) == beam
             scan = Scan(ego, np.where(hits, 0.1, 50.0), hits, 50.0)
-            assert visibility_mask(scan, spec)[i], (n, i, theta)
+            assert visibility_mask(scan, spec)[0][i], (n, i, theta)
             checked += 1
         assert checked > 0
 
@@ -282,7 +285,7 @@ def test_midpoint_cell_takes_the_even_beam():
     spec = GridSpec(2, 2, 2.0, origin=(1.0, 1.0), frame="world")
     hits = np.array([True, False, True, False])
     scan = Scan(ORIGIN, np.where(hits, 0.1, 5.0), hits, 5.0)
-    assert visibility_mask(scan, spec).tolist() == [True, True, True, True]
+    assert visibility_mask(scan, spec)[0].tolist() == [True, True, True, True]
 
 
 def test_occlusion_monotone_in_obstacle_size():
@@ -297,7 +300,7 @@ def test_occlusion_monotone_in_obstacle_size():
                 Obstacle(o.center, (o.half_extents[0] * scale, o.half_extents[1] * scale), o.heading)
                 for o in scene.obstacles
             ])
-            mask = visibility_mask(raycast_scan(grown, ego, 360, 50.0), spec)
+            mask = visibility_mask(raycast_scan(grown, ego, 360, 50.0), spec)[0]
             if prev is not None:
                 assert np.all(~prev | mask)  # previously occluded -> still occluded
             prev = mask
@@ -310,7 +313,7 @@ def test_occlusion_monotone_in_obstacle_size():
 def test_update_moves_observed_cells_and_freezes_occluded():
     spec = column_grid()
     base = new_uniform_grid(spec)
-    updated = standard_inverse_update(base, blocked_scan())
+    updated = standard_inverse_update(base, *visibility_mask(blocked_scan(), spec))
     assert updated.probs[0] == 0.5           # shadowed: prior retained exactly
     assert updated.probs[1] == pytest.approx(0.9)   # struck surface
     assert updated.probs[2] == pytest.approx(0.2)   # traversed
@@ -320,7 +323,7 @@ def test_update_moves_observed_cells_and_freezes_occluded():
 def test_update_free_everywhere_on_empty_scene():
     spec = GridSpec(3, 3, 1.0, origin=(5.0, 1.0), frame="world")
     scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=50.0)
-    updated = standard_inverse_update(new_uniform_grid(spec), scan)
+    updated = standard_inverse_update(new_uniform_grid(spec), *visibility_mask(scan, spec))
     assert np.all(updated.probs < 0.5)
     np.testing.assert_allclose(updated.probs, 0.2)
 
@@ -330,9 +333,21 @@ def test_occluded_cells_keep_arbitrary_prior_exactly():
     for _ in range(10):
         scene, ego, spec = random_occlusion_scene(rng)
         scan = raycast_scan(scene, ego, 360, 50.0)
-        occluded = visibility_mask(scan, spec)
+        occluded, hit = visibility_mask(scan, spec)
         grid = new_uniform_grid(spec)
         grid.probs[:] = rng.uniform(0.01, 0.99, spec.n_cells)
-        updated = standard_inverse_update(grid, scan)
+        updated = standard_inverse_update(grid, occluded, hit)
         assert np.array_equal(updated.probs[occluded], grid.probs[occluded])
         assert not np.any(updated.probs[~occluded] == grid.probs[~occluded])
+
+
+@pytest.mark.parametrize("occluded_shape,hit_shape", [
+    ((3,), (2,)),      # the masks differ in shape
+    ((2,), (2,)),      # both miss a cell of the 3-cell grid
+    ((2, 4), (2, 4)),  # a stack of frames with one cell too many
+    ((2, 3), (3,)),    # a stack against one frame
+])
+def test_update_rejects_masks_of_the_wrong_shape(occluded_shape, hit_shape):
+    grid = new_uniform_grid(column_grid())
+    with pytest.raises(ValueError, match="masks must share one shape"):
+        standard_inverse_update(grid, np.zeros(occluded_shape, bool), np.zeros(hit_shape, bool))

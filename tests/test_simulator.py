@@ -209,7 +209,6 @@ def reference_episode(scenario):
     occ_x = np.empty(n)
     occ_speed = np.empty(n)
     occ_accel = np.zeros(n)
-    ped_present = np.zeros(n, dtype=bool)
     ped_y = np.full(n, np.nan)
     ped_speed_arr = np.zeros(n)
 
@@ -232,7 +231,6 @@ def reference_episode(scenario):
 
         occ_x[i] = x
         occ_speed[i] = v
-        ped_present[i] = present
         if present:
             ped_y[i] = y_ped
             ped_speed_arr[i] = scenario.ped_speed if (walking and not arrived) else 0.0
@@ -281,7 +279,7 @@ def reference_episode(scenario):
     t_arr = np.arange(n) * dt
     ego_x = (cfg.crosswalk_x - scenario.d0 - half_len) - cfg.ego_gap + scenario.ego_speed * t_arr
     return EpisodeLog(t=t_arr, ego_x=ego_x, occ_x=occ_x, occ_speed=occ_speed,
-                      occ_accel=occ_accel, ped_present=ped_present, ped_y=ped_y,
+                      occ_accel=occ_accel, ped_y=ped_y,
                       ped_speed=ped_speed_arr, scenario=scenario)
 
 

@@ -13,7 +13,7 @@ import pytest
 from occlusense.behavior import assign_actionlet, extract_features, kmeans_fit
 from occlusense.grid import GridSpec, fuse_action, new_uniform_grid, threshold
 from occlusense.metrics import score_pair
-from occlusense.perception import _classify_cells, raycast_scan, standard_inverse_update
+from occlusense.perception import raycast_scan, standard_inverse_update, visibility_mask
 from occlusense.simulator import (
     BEHAVIOR_ORDER,
     Scenario,
@@ -65,13 +65,13 @@ def test_stack_call_equals_single_frame_calls(grid_frame):
         scans = [raycast_scan(log.scene_at(i), log.ego_pose(i), 120, 30.0) for i in frames]
         assert_rows_equal(scan.ranges, [s.ranges for s in scans])
         assert_rows_equal(scan.hits, [s.hits for s in scans])
-        occluded, hit = _classify_cells(scan, spec)
-        single = [_classify_cells(s, sp) for s, sp in zip(scans, specs)]
+        occluded, hit = visibility_mask(scan, spec)
+        single = [visibility_mask(s, sp) for s, sp in zip(scans, specs)]
         assert_rows_equal(occluded, [o for o, _ in single])
         assert_rows_equal(hit, [h for _, h in single])
 
-        base = standard_inverse_update(new_uniform_grid(spec), scan)
-        bases = [standard_inverse_update(new_uniform_grid(sp), s) for s, sp in zip(scans, specs)]
+        base = standard_inverse_update(new_uniform_grid(spec), occluded, hit)
+        bases = [standard_inverse_update(new_uniform_grid(sp), o, h) for (o, h), sp in zip(single, specs)]
         assert_rows_equal(base.probs, [b.probs for b in bases])
 
         rows = extract_features(log, log.t[frames])
