@@ -287,11 +287,6 @@ class ManifestWriter:
         if p.exists():
             self.inputs[str(p)] = _sha256(p)
 
-    def add_output(self, path: str | Path) -> None:
-        p = Path(path)
-        if p.exists():
-            self.outputs[p.name] = _sha256(p)
-
     def write(self, status: str, error: str | None = None) -> Path:
         doc = {
             "tool": "occlusense",
@@ -309,23 +304,34 @@ class ManifestWriter:
         }
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"manifest_{self.command}.json"
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
         return path
 
+    @contextmanager
+    def staged(self, *names: str):
+        """Temp paths beside the artifacts ``names`` in ``out_dir``.
 
-@contextmanager
-def _staged(*paths: Path):
-    """Temp paths beside ``paths``, moved into place only if the block succeeds."""
-    temps = [path.with_name(path.name + ".tmp") for path in paths]
-    try:
-        yield temps
-        for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
-    finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
+        Only when the block succeeds is each temp moved into place and its
+        sha256 recorded in ``outputs``; otherwise the temps are deleted, so
+        a failed command leaves no partial artifact.
+        """
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [self.out_dir / name for name in names]
+        temps = [path.with_name(path.name + ".tmp") for path in paths]
+        try:
+            yield temps
+            for tmp, path in zip(temps, paths):
+                os.replace(tmp, path)
+                self.outputs[path.name] = _sha256(path)
+        finally:
+            for tmp in temps:
+                tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +354,14 @@ def split_episodes(n_episodes: int, split: float, seed: int) -> tuple[np.ndarray
     n_train = int(round(n_episodes * split))
     n_train = min(max(n_train, 1), n_episodes - 1)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def _split_dataset(cfg: PipelineConfig, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split_episodes` of a dataset of ``n`` episodes or clips; one too
+    small to split is bad input data, not a bad config."""
+    if n < 2:
+        raise DataError(f"need at least two {what} to split, got {n}")
+    return split_episodes(n, cfg.train_split, cfg.seed)
 
 
 def _eval_frame_indices(log, stride: int) -> np.ndarray:
@@ -374,17 +388,11 @@ def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: PipelineConfig, manifest: ManifestWriter) -> None:
-    if cfg.n_episodes < 1:
-        raise ConfigError("sim.n_episodes must be at least 1")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = out / "dataset.jsonl"
-    with _staged(dataset) as (tmp,):
+    with manifest.staged("dataset.jsonl") as (tmp,):
         episodes = simulate_batch(cfg.scenario, cfg.n_episodes, cfg.seed)
         count = write_episodes(str(tmp), episodes, cfg.scenario, cfg.seed, cfg.n_episodes)
     manifest.counters["episodes"] = count
-    manifest.add_output(dataset)
-    print(f"simulate: wrote {count} episodes to {dataset}")
+    print(f"simulate: wrote {count} episodes to {manifest.out_dir / 'dataset.jsonl'}")
 
 
 def cmd_train(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
@@ -397,7 +405,7 @@ def cmd_train(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> No
 def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
     manifest.add_input(dataset)
     logs = read_episodes(dataset)
-    train_idx, eval_idx = split_episodes(len(logs), cfg.train_split, cfg.seed)
+    train_idx, eval_idx = _split_dataset(cfg, len(logs), "episodes")
     manifest.counters["episodes_total"] = len(logs)
     manifest.counters["episodes_train"] = len(train_idx)
     manifest.counters["episodes_eval"] = len(eval_idx)
@@ -417,26 +425,18 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
     table = estimate_likelihoods(labels, maps, template, cfg.k_actionlets, cfg.smoothing_alpha)
     table.validate()
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    actionlet_path = out / "actionlets.json"
-    table_path = out / "likelihoods.json"
-    with _staged(actionlet_path, table_path) as (actionlet_tmp, table_tmp):
+    with manifest.staged("actionlets.json", "likelihoods.json") as (actionlet_tmp, table_tmp):
         save_model_json(model, str(actionlet_tmp))
         save_model_json(table, str(table_tmp))
-    manifest.add_output(actionlet_path)
-    manifest.add_output(table_path)
     manifest.counters["kmeans_iterations"] = len(model.sse_history)
     manifest.counters["kmeans_stop_reason"] = model.stop_reason
-    print(f"train: {len(features)} samples -> {cfg.k_actionlets} actionlets; models in {out}")
+    print(f"train: {len(features)} samples -> {cfg.k_actionlets} actionlets; models in {manifest.out_dir}")
 
 
 def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
     manifest.add_input(dataset)
     clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
-    if len(clips) < 2:
-        raise DataError("landmark training needs at least two clips to split")
-    train_idx, _ = split_episodes(len(clips), cfg.train_split, cfg.seed)
+    train_idx, _ = _split_dataset(cfg, len(clips), "clips")
     # Train on directly observed pedestrians; occluded samples are the
     # evaluation targets.
     train = np.isin(clip, train_idx) & ~occluded
@@ -448,16 +448,12 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
         raise DataError("no visible training samples in the training clips")
 
     model = fit_logit(xy[train], actions[train], reg=cfg.logit_reg, max_iters=cfg.logit_max_iters)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "logit.json"
-    with _staged(model_path) as (tmp,):
+    with manifest.staged("logit.json") as (tmp,):
         save_logit_model(model, str(tmp))
-    manifest.add_output(model_path)
     manifest.counters["logit_iterations"] = len(model.loglik_history)
     manifest.counters["logit_stop_reason"] = model.stop_reason
     manifest.counters["logit_grad_norm"] = model.grad_norm
-    print(f"train: fit action model on {n_samples} samples; model in {out}")
+    print(f"train: fit action model on {n_samples} samples; model in {manifest.out_dir}")
 
 
 def cmd_eval(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models_dir: str | None) -> None:
@@ -470,7 +466,7 @@ def cmd_eval(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models
 def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models_dir: str | None) -> None:
     manifest.add_input(dataset)
     logs = read_episodes(dataset)
-    _, eval_idx = split_episodes(len(logs), cfg.train_split, cfg.seed)
+    _, eval_idx = _split_dataset(cfg, len(logs), "episodes")
     manifest.counters["episodes_eval"] = len(eval_idx)
 
     model = table = None
@@ -493,15 +489,11 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
                             f"has {table.n_actions} actions: the models do not belong together")
 
     template = cfg.grid_template()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    frames_path = out / "eval_frames.csv"
-    summary_path = out / "eval_summary.json"
     # Per method, each episode's (episode, t, psi) columns of its scored frames.
     columns: dict[str, list[tuple[np.ndarray, ...]]] = {m: [] for m in cfg.eval_methods}
 
-    # The CSV is closed before _staged moves both files into place.
-    with _staged(frames_path, summary_path) as (frames_tmp, summary_tmp), \
+    # The CSV is closed before the manifest moves both files into place.
+    with manifest.staged("eval_frames.csv", "eval_summary.json") as (frames_tmp, summary_tmp), \
             open(frames_tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "t", "method", "psi", "d_ab_free", "d_ab_occ", "d_ba_free", "d_ba_occ"])
@@ -549,11 +541,7 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             "methods": {m: aggregate_similarity(*map(np.concatenate, zip(*parts)))
                         for m, parts in columns.items() if parts},
         }
-        with open(summary_tmp, "w") as sfh:
-            json.dump(summary, sfh, indent=2, sort_keys=True)
-            sfh.write("\n")
-    manifest.add_output(frames_path)
-    manifest.add_output(summary_path)
+        _write_json(summary_tmp, summary)
     for method, stats in summary["methods"].items():
         manifest.counters[f"psi_mean_{method}"] = stats["psi_mean"]
         print(f"eval[{method}]: mean psi {stats['psi_mean']:.3f} over {stats['n_frames']} frames")
@@ -571,9 +559,7 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
         raise DataError(f"cannot load logit model: {exc}") from exc
 
     clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
-    if len(clips) < 2:
-        raise DataError("landmark evaluation needs at least two clips")
-    _, eval_idx = split_episodes(len(clips), cfg.train_split, cfg.seed)
+    _, eval_idx = _split_dataset(cfg, len(clips), "clips")
     region = cfg.region()
     prior = 1.0 / region.n
 
@@ -592,9 +578,6 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     if evaluated == 0:
         raise DataError("no occluded samples inside the candidate region to evaluate")
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "eval_actions.csv"
     rows = []
     for action, vals in masses.items():
         mean, se = mean_and_se(vals)
@@ -614,19 +597,14 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
         "skipped_outside_region": skipped_outside,
         "actions": {row["action"]: {k: v for k, v in row.items() if k != "action"} for row in rows},
     }
-    summary_path = out / "eval_summary.json"
-    with _staged(table_path, summary_path) as (table_tmp, summary_tmp), \
+    with manifest.staged("eval_actions.csv", "eval_summary.json") as (table_tmp, summary_tmp), \
             open(table_tmp, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["action", "n", "p_prior", "p_ours_mean",
                                                 "p_ours_se", "improvement_ratio"])
         writer.writeheader()
         for row in rows:
             writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-        with open(summary_tmp, "w") as sfh:
-            json.dump(summary, sfh, indent=2, sort_keys=True)
-            sfh.write("\n")
-    manifest.add_output(table_path)
-    manifest.add_output(summary_path)
+        _write_json(summary_tmp, summary)
     manifest.counters["evaluated_samples"] = evaluated
     manifest.counters["skipped_outside_region"] = skipped_outside
     for row in rows:
@@ -644,15 +622,12 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     file's lines are converted in chunks of ``INGEST_CHUNK``, which bounds
     the parsed records and output text held at once.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    out_path = out / "landmark_dataset.jsonl"
     accepted = 0
     rejected: dict[str, int] = {"missing_field": 0, "bad_action": 0, "horizon": 0, "bad_bbox": 0}
     action_json: dict[str, str | None] = {}  # each label's action as JSON text, None if unknown
 
-    # The file is closed before _staged moves it into place.
-    with _staged(out_path) as (tmp,), open(tmp, "w") as fh:
+    # The file is closed before the manifest moves it into place.
+    with manifest.staged("landmark_dataset.jsonl") as (tmp,), open(tmp, "w") as fh:
         for src in annotations:
             manifest.add_input(src)
             try:
@@ -664,12 +639,11 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
                 fh.write(text)
                 accepted += count
 
-    manifest.add_output(out_path)
     manifest.counters["accepted"] = accepted
     for reason, count in rejected.items():
         manifest.counters[f"rejected_{reason}"] = count
-    total_rejected = sum(rejected.values())
-    print(f"ingest: accepted {accepted} records, rejected {total_rejected} -> {out_path}")
+    print(f"ingest: accepted {accepted} records, rejected {sum(rejected.values())} -> "
+          f"{manifest.out_dir / 'landmark_dataset.jsonl'}")
 
 
 def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: CameraModel | None,
@@ -810,11 +784,7 @@ def _read_landmark_records(path: str) -> tuple:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -847,6 +817,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(exc: Exception) -> tuple[int, str, str]:
+    """Exit code, stderr label and manifest error of a failed command."""
+    if isinstance(exc, ConfigError):
+        return 1, "error", str(exc)
+    if isinstance(exc, DataError):
+        return 2, "data error", str(exc)
+    return 3, "internal error", f"{type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -877,18 +856,11 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ingest(cfg, manifest, args.annotations)
         manifest.write("ok")
         return 0
-    except ConfigError as exc:
-        manifest.write("failed", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        manifest.write("failed", str(exc))
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - translated to exit code 3
-        manifest.write("failed", f"{type(exc).__name__}: {exc}")
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:  # noqa: BLE001 - translated to an exit code
+        code, label, error = _failure(exc)
+        manifest.write("failed", error)
+        print(f"{label}: {error}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

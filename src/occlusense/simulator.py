@@ -22,7 +22,8 @@ cruise speed (bounded by ``a_max_accel``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -93,6 +94,11 @@ class ScenarioConfig:
     corridor_halfwidth: float = 1.75
 
     def __post_init__(self) -> None:
+        # A NaN passes every comparison below; a dataset header can carry one.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("d0_range", "v0_range", "ped_speed_range", "duration_range"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo <= hi):
@@ -260,7 +266,7 @@ def simulate_batch(config: ScenarioConfig, n_episodes: int, seed: int):
     """Yield (scenario, log) pairs, each scenario from its own child random
     stream, integrating :data:`CHUNK_EPISODES` episodes at a time."""
     if n_episodes < 1:
-        raise ConfigError("need at least one episode")
+        raise ConfigError(f"need at least 1 episode, got {n_episodes}")
     root = named_seed_sequence(seed, "simulate")
     scenarios = [sample_scenario(config, np.random.default_rng(child))
                  for child in root.spawn(n_episodes)]

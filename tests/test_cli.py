@@ -493,6 +493,41 @@ def test_null_outside_ped_y_exits_2(grid_run, tmp_path, command):
     assert "episode 2 has a null occ_x value at frame 5" in manifest(out, command)["error"]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_one_episode_dataset_exits_2(grid_run, tmp_path, command):
+    """Too few episodes to split is bad input data, as a one-clip landmark
+    dataset is, not a bad config."""
+    data = tmp_path / "data"
+    assert main(["simulate", "--episodes", "1", "--seed", "11", "--out", str(data)]) == 0
+    out = tmp_path / command
+    argv = [command, "--dataset", str(data / "dataset.jsonl"), "--seed", "11", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 2
+    doc = manifest(out, command)
+    assert doc["status"] == "failed"
+    assert "need at least two episodes to split" in doc["error"]
+    assert sorted(p.name for p in out.iterdir()) == [f"manifest_{command}.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
+    """A NaN passes ScenarioConfig's range comparisons; the finite check
+    rejects it before it reaches k-means or the simulator's geometry."""
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["crosswalk_x"] = float("nan")
+    lines[0] = json.dumps(header)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / command
+    argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 2
+    assert "bad config in header: crosswalk_x must be finite" in manifest(out, command)["error"]
+
+
 def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     def broken_score(*args, **kwargs):
         raise RuntimeError("scoring failed")
@@ -987,6 +1022,64 @@ def test_eval_landmark_computes_one_posterior_per_action(tmp_path, monkeypatch):
     summary = json.loads((out / "eval_summary.json").read_text())
     assert summary["evaluated_samples"] == 5
     assert sorted(a.name.lower() for a in calls) == sorted(summary["actions"]) == ["decelerating", "stopped"]
+
+
+# ---------------------------------------------------------------------------
+# manifest outputs: one commit path for every command's artifacts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode,command,names", [
+    ("grid", "simulate", ["dataset.jsonl"]),
+    ("grid", "train", ["actionlets.json", "likelihoods.json"]),
+    ("grid", "eval", ["eval_frames.csv", "eval_summary.json"]),
+    ("landmark", "ingest", ["landmark_dataset.jsonl"]),
+    ("landmark", "train", ["logit.json"]),
+    ("landmark", "eval", ["eval_actions.csv", "eval_summary.json"]),
+])
+def test_manifest_outputs_are_exactly_the_commands_artifacts(grid_run, tmp_path, mode, command, names):
+    out = tmp_path / "out"
+    if mode == "grid" and command != "eval":
+        out = grid_run  # the fixture ran simulate and train
+    elif mode == "grid":
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("eval.stride = 12\neval.n_beams = 120\n")
+        assert main(["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(grid_run),
+                     "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+    elif command == "ingest":
+        src = write_jsonl(tmp_path / "ann.jsonl", [annotation(clip_id=c) for c in ("a", "b")])
+        assert main(["ingest", str(src), "--out", str(out)]) == 0
+    else:
+        common = ["--dataset", str(landmark_dataset(tmp_path)), "--mode", "landmark", "--out", str(out)]
+        assert main(["train", *common]) == 0
+        if command == "eval":  # beside train's model, which eval's manifest must not list
+            assert main(["eval", *common, "--models", str(out)]) == 0
+    doc = manifest(out, command)
+    assert doc["status"] == "ok"
+    assert doc["outputs"] == {name: sha256(out / name) for name in names}
+    assert not list(out.glob("*.tmp"))
+
+
+def test_a_failed_artifact_write_commits_nothing(grid_run, tmp_path, monkeypatch):
+    """Grid train's second model write fails: neither model, nor a temp
+    file, nor an output digest is left."""
+    import occlusense.cli as cli
+
+    save, calls = cli.save_model_json, []
+
+    def failing_second_save(obj, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        save(obj, path)
+
+    monkeypatch.setattr("occlusense.cli.save_model_json", failing_second_save)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(grid_run / "dataset.jsonl"), "--seed", "11", "--out", str(out)]) == 3
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["manifest_train.json"]
+    doc = manifest(out, "train")
+    assert doc["status"] == "failed"
+    assert doc["outputs"] == {}
 
 
 @pytest.mark.parametrize("occluded", [True, False])

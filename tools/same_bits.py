@@ -6,7 +6,9 @@ of its own, then prints every artifact's sha256 on both sides and exits 1
 if any of them differs.
 The grid pipeline is ``simulate``, ``train`` and ``eval``; the landmark
 pipeline is ``ingest`` of the given annotations file, ``train`` and ``eval``.
-Manifests hold wall times, so only their ``counters`` objects are compared.
+Manifests hold wall times and input paths, so only their ``counters`` and
+``outputs`` objects are compared; ``outputs`` maps each artifact's name to
+its sha256, so a command that stops recording an artifact is a difference.
 
 Usage (from the repository root):
 
@@ -59,20 +61,26 @@ def run_pipeline(tree: Path, argvs: list[list[str]]) -> None:
                        stdout=subprocess.DEVNULL)
 
 
+#: The manifest objects compared, by key.
+MANIFEST_KEYS = ("counters", "outputs")
+
+
 def digests(out: Path, mode: str) -> dict[str, str]:
-    """sha256 of each artifact in ``out`` and of each manifest's counters
-    (``missing`` for a file that is not there)."""
+    """sha256 of each artifact in ``out`` and of each manifest's counters and
+    outputs (``missing`` for a file or object that is not there)."""
     found = {}
     for name in ARTIFACTS[mode]:
         path = out / name
         found[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
     for stage in STAGES[mode]:
         path = out / f"manifest_{stage}.json"
-        if path.exists():
-            counters = json.dumps(json.loads(path.read_text())["counters"], sort_keys=True)
-            found[f"{path.name} counters"] = hashlib.sha256(counters.encode()).hexdigest()
-        else:
-            found[f"{path.name} counters"] = "missing"
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        for key in MANIFEST_KEYS:
+            if key in doc:
+                text = json.dumps(doc[key], sort_keys=True)
+                found[f"{path.name} {key}"] = hashlib.sha256(text.encode()).hexdigest()
+            else:
+                found[f"{path.name} {key}"] = "missing"
     return found
 
 
