@@ -534,12 +534,16 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             for method, psi in zip(predictions, fields[0].T):
                 columns[method].append((np.full(len(times), ep), times, psi))
 
+        # Every scored frame scores every method: all methods have columns or none has.
+        if not any(columns.values()):
+            raise DataError("no eval frame to score: each eval episode is shorter than the feature window"
+                            + (" or has no frame with an occluded cell" if cfg.eval_region == "occluded" else ""))
         summary = {
             "mode": "grid",
             "threshold": cfg.psi_threshold,
             "region": cfg.eval_region,
             "methods": {m: aggregate_similarity(*map(np.concatenate, zip(*parts)))
-                        for m, parts in columns.items() if parts},
+                        for m, parts in columns.items()},
         }
         _write_json(summary_tmp, summary)
     for method, stats in summary["methods"].items():

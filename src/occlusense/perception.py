@@ -1,9 +1,10 @@
 """Simulated range sensing and the standard occupancy baseline.
 
-A planar lidar casts n evenly spaced beams against oriented rectangular
-obstacles.  Grid cells are then classified visible or occluded by comparing
-each cell center's range against the beam nearest to it in bearing, and
-visible cells are updated with a fixed inverse sensor model.
+A planar lidar facing +x, the road direction, casts n evenly spaced beams
+against axis-aligned rectangular obstacles.  Grid cells are then classified
+visible or occluded by comparing each cell center's range against the beam
+nearest to it in bearing, and visible cells are updated with a fixed
+inverse sensor model.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ DEFAULT_MAX_RANGE = 50.0
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.fmod(theta + math.pi, TWO_PI)
-    if wrapped <= 0.0:
-        wrapped += TWO_PI
-    return wrapped - math.pi
-
-
 def _per_frame(coordinate) -> np.ndarray:
     """A scalar or (F,) coordinate as a column that broadcasts against a
     trailing beam or cell axis."""
@@ -42,22 +35,18 @@ def _per_frame(coordinate) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose2D:
-    """Planar pose; heading is normalized to (-pi, pi] on construction.
+    """Sensor position; the sensor faces +x, the road direction.
 
     ``x`` and ``y`` may be (F,) arrays: one position per frame of a stack.
     """
 
     x: float
     y: float
-    heading: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Oriented rectangle: center, half extents along its own axes, heading.
+    """Axis-aligned rectangle: center, half extents along x and y.
 
     Center coordinates may be (F,) arrays, one position per frame of a
     stack; a NaN center marks a frame the obstacle is absent from, and
@@ -66,21 +55,18 @@ class Obstacle:
 
     center: tuple[float, float]
     half_extents: tuple[float, float]
-    heading: float = 0.0
 
     def __post_init__(self) -> None:
         if self.half_extents[0] <= 0.0 or self.half_extents[1] <= 0.0:
             raise ValueError(f"half extents must be positive, got {self.half_extents}")
 
     def corners(self) -> np.ndarray:
-        """(4, 2) world-frame corner positions, counter-clockwise; (F, 4, 2)
-        for (F,) center coordinates."""
+        """(4, 2) corner positions, counter-clockwise; (F, 4, 2) for (F,)
+        center coordinates."""
         hx, hy = self.half_extents
         local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        rot = np.array([[c, -s], [s, c]])
         center = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in self.center)), axis=-1)
-        return local @ rot.T + center[..., None, :]
+        return local + center[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -97,10 +83,10 @@ class SceneGeometry:
 class Scan:
     """One full sweep of n evenly spaced beams, or one sweep per frame.
 
-    Beam i points at bearing ``2*pi*i/n`` in the sensor frame (relative to
-    ``origin``'s heading), so beam 0 looks straight ahead.  ``ranges`` and
-    ``hits`` are (n,) for one sweep and (F, n) for a stack.  A beam with
-    ``hit`` False traveled to ``max_range`` without striking anything.
+    Beam i points at bearing ``2*pi*i/n``, measured from +x, so beam 0
+    looks straight ahead along the road.  ``ranges`` and ``hits`` are (n,)
+    for one sweep and (F, n) for a stack.  A beam with ``hit`` False
+    traveled to ``max_range`` without striking anything.
     """
 
     origin: Pose2D
@@ -136,10 +122,10 @@ def _slab(o, d, h):
 def _ray_rectangle_t(o0, o1, d0, d1, rect: Obstacle) -> np.ndarray:
     """Smallest nonnegative ray parameter hitting the rectangle, inf on miss.
 
-    The slab test (Kay & Kajiya 1986) in the rectangle's own frame,
-    elementwise over ray origins ``o0, o1`` and unit directions ``d0, d1``
-    given in that frame.  A NaN origin compares false everywhere, so the
-    rectangle is missed.
+    The slab test (Kay & Kajiya 1986) on the axis-aligned rectangle,
+    elementwise over ray origins ``o0, o1`` taken relative to its center
+    and unit directions ``d0, d1``.  A NaN origin compares false
+    everywhere, so the rectangle is missed.
     """
     hx, hy = rect.half_extents
     tx_lo, tx_hi = _slab(o0, d0, hx)
@@ -150,28 +136,28 @@ def _ray_rectangle_t(o0, o1, d0, d1, rect: Obstacle) -> np.ndarray:
     return np.where(valid, np.maximum(t_enter, 0.0), np.inf)
 
 
-def _bearing_windows(o0, o1, rect: Obstacle, offset: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _bearing_windows(o0, o1, rect: Obstacle, n: int) -> tuple[np.ndarray, np.ndarray]:
     """First beam and beam count of the beams each frame can hit the
-    rectangle with, from (F,) ray origins ``o0, o1`` in its frame.
+    rectangle with, from (F,) ray origins ``o0, o1`` relative to its center.
 
     The window spans the bearings of the four corners seen from the origin,
-    widened by one beam on each side to absorb rounding; ``offset`` turns a
-    bearing in the rectangle's frame into one in the sensor's.  Seen from
-    outside, every corner lies less than pi from the center's bearing, so
-    the corners are measured about it.  A frame whose origin lies inside or
-    on the rectangle gets all n beams, and one with a NaN origin none.
+    widened by one beam on each side to absorb rounding.  Seen from outside,
+    every corner lies less than pi from the center's bearing, so the corners
+    are measured about it.  A frame whose origin lies inside or on the
+    rectangle gets all n beams, and one with a NaN origin none.
 
-    The corners are (+-hx, +-hy) about the very origins the slab test uses.
-    World-frame corners round differently: with the origin on a corner,
-    a window built from them can leave out beams the slab test hits.
+    The corners are (+-hx, +-hy) relative to the rectangle's center, about
+    the very origins the slab test uses.  World-frame corners round
+    differently: with the origin on a corner, a window built from them can
+    leave out beams the slab test hits.
     """
     hx, hy = rect.half_extents
     step = TWO_PI / n
     center = np.arctan2(-o1, -o0)[:, None]
     corner = np.arctan2(np.array([hy, hy, -hy, -hy]) - o1[:, None], np.array([hx, -hx, -hx, hx]) - o0[:, None])
     about = np.mod(corner - center + math.pi, TWO_PI) - math.pi
-    first = np.ceil((center[:, 0] + about.min(axis=1) + offset) / step) - 1.0
-    count = np.floor((center[:, 0] + about.max(axis=1) + offset) / step) + 2.0 - first
+    first = np.ceil((center[:, 0] + about.min(axis=1)) / step) - 1.0
+    count = np.floor((center[:, 0] + about.max(axis=1)) / step) + 2.0 - first
     full = ((np.abs(o0) <= hx) & (np.abs(o1) <= hy)) | (count >= n)
     absent = np.isnan(count) & ~full
     first = np.where(full | absent, 0.0, first).astype(np.intp)
@@ -185,7 +171,7 @@ def raycast_scan(
     n_beams: int = DEFAULT_N_BEAMS,
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> Scan:
-    """Cast evenly spaced beams over [0, 2*pi) from the ego pose.
+    """Cast evenly spaced beams over [0, 2*pi) from the ego position.
 
     Each beam reports the nearest rectangle intersection, capped at
     ``max_range``; beams that strike nothing report ``max_range`` with
@@ -197,8 +183,7 @@ def raycast_scan(
     if n_beams < 1:
         raise ValueError("need at least one beam")
     bearings = TWO_PI * np.arange(n_beams) / n_beams
-    world_angles = ego.heading + bearings
-    dx, dy = np.cos(world_angles), np.sin(world_angles)
+    dx, dy = np.cos(bearings), np.sin(bearings)
     frames = np.broadcast_shapes(np.shape(ego.x), np.shape(ego.y),
                                  *(np.shape(c) for rect in scene.obstacles for c in rect.center))
     n_frames = math.prod(frames)
@@ -209,16 +194,13 @@ def raycast_scan(
     ox, oy = flat(ego.x), flat(ego.y)
     t_min = np.full(n_frames * n_beams, np.inf)
     for rect in scene.obstacles:
-        c, s = math.cos(rect.heading), math.sin(rect.heading)
-        vx, vy = ox - flat(rect.center[0]), oy - flat(rect.center[1])
-        o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
-        d0, d1 = dx * c + dy * s, dx * -s + dy * c
-        first, count = _bearing_windows(o0, o1, rect, rect.heading - ego.heading, n_beams)
+        o0, o1 = ox - flat(rect.center[0]), oy - flat(rect.center[1])
+        first, count = _bearing_windows(o0, o1, rect, n_beams)
         # Each frame's candidates are `count` consecutive beams from `first`, wrapping at n.
         frame = np.repeat(np.arange(n_frames), count)
         beam = (np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(frame))) % n_beams
         pair = frame * n_beams + beam
-        t_min[pair] = np.minimum(t_min[pair], _ray_rectangle_t(o0[frame], o1[frame], d0[beam], d1[beam], rect))
+        t_min[pair] = np.minimum(t_min[pair], _ray_rectangle_t(o0[frame], o1[frame], dx[beam], dy[beam], rect))
     t_min = t_min.reshape(*frames, n_beams)
     hits = t_min <= max_range
     ranges = np.where(hits, t_min, max_range)
@@ -243,7 +225,7 @@ def visibility_mask(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
     dx = centers[..., 0] - _per_frame(scan.origin.x)
     dy = centers[..., 1] - _per_frame(scan.origin.y)
     cell_range = np.hypot(dx, dy)
-    cell_bearing = np.mod(np.arctan2(dy, dx) - scan.origin.heading, TWO_PI)
+    cell_bearing = np.mod(np.arctan2(dy, dx), TWO_PI)
     nearest = np.rint(cell_bearing / (TWO_PI / n)).astype(np.intp) % n
     beam_range = np.take_along_axis(scan.ranges, nearest, axis=-1)
     beam_hit = np.take_along_axis(scan.hits, nearest, axis=-1)

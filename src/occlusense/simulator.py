@@ -211,10 +211,6 @@ class EpisodeLog:
         return self.scenario.config
 
     @property
-    def behavior(self) -> PedestrianBehavior:
-        return self.scenario.behavior
-
-    @property
     def crosswalk_x(self) -> float:
         return self.config.crosswalk_x
 
@@ -228,7 +224,7 @@ class EpisodeLog:
 
     def ego_pose(self, frame) -> Pose2D:
         """Ego pose at one frame, or at each frame of an index array."""
-        return Pose2D(self.ego_x[frame], self.ego_y, 0.0)
+        return Pose2D(self.ego_x[frame], self.ego_y)
 
     def scene_at(self, frame) -> SceneGeometry:
         """Obstacles visible to the ego (occluder, pedestrian) at one frame,

@@ -99,8 +99,8 @@ def _seg_ray_t(ox, oy, dx, dy, ax, ay, bx, by):
 
 def dense_ray_range(scene: SceneGeometry, ego: Pose2D, bearing: float, max_range: float):
     """(range, hit) along one exact bearing, via per-edge intersection."""
-    dx = math.cos(ego.heading + bearing)
-    dy = math.sin(ego.heading + bearing)
+    dx = math.cos(bearing)
+    dy = math.sin(bearing)
     best = math.inf
     for obs in scene.obstacles:
         corners = obs.corners()
@@ -138,12 +138,9 @@ def dense_resampled_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int,
 
 
 def cell_sensor_geometry(spec: GridSpec, ego: Pose2D, col: int, row: int):
-    """(range, bearing in [0, 2pi)) of a cell center, via rotation matrix."""
+    """(range, bearing in [0, 2pi)) of a cell center, by scalar math."""
     cx, cy = spec.cell_center(col, row)
-    wx, wy = cx - ego.x, cy - ego.y
-    c, s = math.cos(-ego.heading), math.sin(-ego.heading)
-    sx = c * wx - s * wy
-    sy = s * wx + c * wy
+    sx, sy = cx - ego.x, cy - ego.y
     return math.sqrt(sx * sx + sy * sy), math.atan2(sy, sx) % (2.0 * math.pi)
 
 
@@ -167,7 +164,7 @@ def rule_visibility_mask(spec: GridSpec, ego: Pose2D, coarse: dict, max_range: f
 
 def random_occlusion_scene(rng: np.random.Generator):
     """A randomized <=3-obstacle scene, ego pose, and nearby world grid."""
-    ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
+    ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
     obstacles = []
     for _ in range(int(rng.integers(0, 4))):
         r = rng.uniform(5.0, 25.0)
@@ -175,7 +172,6 @@ def random_occlusion_scene(rng: np.random.Generator):
         obstacles.append(Obstacle(
             center=(ego.x + r * math.cos(phi), ego.y + r * math.sin(phi)),
             half_extents=(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)),
-            heading=rng.uniform(-math.pi, math.pi),
         ))
     gr = rng.uniform(4.0, 15.0)
     gphi = rng.uniform(0.0, 2.0 * math.pi)
@@ -239,23 +235,20 @@ def looped_similarity_summary(episodes: list[list[tuple[float, float]]]) -> dict
 def _full_sweep_rectangle_t(ox, oy, dx, dy, rect: Obstacle) -> np.ndarray:
     """The slab test on every (frame, beam) pair: per-frame origin columns
     ``ox, oy`` against the (n_beams,) directions ``dx, dy``."""
-    c, s = math.cos(rect.heading), math.sin(rect.heading)
-    vx = ox - np.asarray(rect.center[0], dtype=float)[..., None]
-    vy = oy - np.asarray(rect.center[1], dtype=float)[..., None]
-    o0, o1 = c * vx + s * vy, -s * vx + c * vy  # world -> rectangle frame
-    d0, d1 = dx * c + dy * s, dx * -s + dy * c
+    o0 = ox - np.asarray(rect.center[0], dtype=float)[..., None]
+    o1 = oy - np.asarray(rect.center[1], dtype=float)[..., None]
 
     hx, hy = rect.half_extents
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tx1 = (-hx - o0) / d0
-        tx2 = (hx - o0) / d0
-        ty1 = (-hy - o1) / d1
-        ty2 = (hy - o1) / d1
+        tx1 = (-hx - o0) / dx
+        tx2 = (hx - o0) / dx
+        ty1 = (-hy - o1) / dy
+        ty2 = (hy - o1) / dy
     tx_lo, tx_hi = np.minimum(tx1, tx2), np.maximum(tx1, tx2)
     ty_lo, ty_hi = np.minimum(ty1, ty2), np.maximum(ty1, ty2)
     # Beams parallel to a slab axis: inside the slab -> (-inf, inf), else miss.
-    for lo, hi, parallel, inside in ((tx_lo, tx_hi, d0 == 0.0, np.abs(o0) <= hx),
-                                     (ty_lo, ty_hi, d1 == 0.0, np.abs(o1) <= hy)):
+    for lo, hi, parallel, inside in ((tx_lo, tx_hi, dx == 0.0, np.abs(o0) <= hx),
+                                     (ty_lo, ty_hi, dy == 0.0, np.abs(o1) <= hy)):
         lo[..., parallel] = np.where(inside, -np.inf, np.inf)
         hi[..., parallel] = np.where(inside, np.inf, -np.inf)
 
@@ -269,8 +262,7 @@ def full_sweep_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int, max_range: 
     """(ranges, hits) of every beam tested against every rectangle, one
     sweep per frame of a stacked pose or scene."""
     bearings = 2.0 * math.pi * np.arange(n_beams) / n_beams
-    world_angles = ego.heading + bearings
-    dx, dy = np.cos(world_angles), np.sin(world_angles)
+    dx, dy = np.cos(bearings), np.sin(bearings)
     ox = np.asarray(ego.x, dtype=float)[..., None]
     oy = np.asarray(ego.y, dtype=float)[..., None]
     t_min = np.full(np.broadcast_shapes(ox.shape, oy.shape, dx.shape), np.inf)

@@ -287,6 +287,22 @@ def test_eval_standard_only_needs_no_models(grid_run, tmp_path):
     assert json.loads((out / "eval_summary.json").read_text())["region"] == "occluded"
 
 
+@pytest.mark.parametrize("region", ["full", "occluded"])
+def test_eval_grid_with_no_frame_to_score_exits_2(tmp_path, region):
+    """Every episode ends before the 0.5 s feature window fills: eval
+    scores nothing, so it fails and commits no artifact."""
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"sim.duration_range = 0.4, 0.4\neval.methods = standard\neval.region = {region}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--episodes", "4", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["eval", "--dataset", str(out / "dataset.jsonl"), "--config", str(cfg), "--out", str(out)]) == 2
+    doc = manifest(out, "eval")
+    assert doc["status"] == "failed"
+    assert "no eval frame to score" in doc["error"]
+    assert doc["outputs"] == {}
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "manifest_eval.json", "manifest_simulate.json"]
+
+
 #: Values whose text tests the CSV's float form: zero, a small and a decimal
 #: fraction, integers, a long fraction, exponent form and a subnormal.
 EDGE_VALUES = [0.0, 1e-05, 0.1, 2.0, 7.0, 1.0 / 3.0, 1e16, 5e-324]

@@ -450,7 +450,7 @@ def test_jsonl_round_trip(tmp_path):
     assert logs[0].config == cfg
     assert len(logs) == 4
     for (_, orig), loaded in zip(episodes, logs):
-        assert loaded.behavior is orig.behavior
+        assert loaded.scenario.behavior is orig.scenario.behavior
         for name in ("t", "ego_x", "occ_x", "occ_speed",
                      "occ_accel", "ped_present", "ped_speed"):
             assert np.array_equal(getattr(orig, name), getattr(loaded, name)), name

@@ -48,7 +48,7 @@ def assert_rows_equal(stacked, singles):
 def test_stack_call_equals_single_frame_calls(grid_frame):
     template = TEMPLATES[grid_frame]
     logs = episodes()
-    assert {log.behavior for log in logs} == set(BEHAVIOR_ORDER)
+    assert {log.scenario.behavior for log in logs} == set(BEHAVIOR_ORDER)
     model = kmeans_fit(np.concatenate([extract_features(log, log.t[15:]) for log in logs]), k=4, seed=0)
     table = random_likelihood_table(template, 4, np.random.default_rng(1))
     for log in logs:
