@@ -23,17 +23,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
+from .behavior import MIN_LOG_RATE
 from .errors import ConfigError, DataError
 from .grid import BinaryMap, GridSpec
 from .perception import Obstacle, Pose2D, SceneGeometry
 from .seeds import named_seed_sequence
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class PedestrianBehavior(Enum):
@@ -51,8 +52,14 @@ BEHAVIOR_ORDER = (
     PedestrianBehavior.ABSENT,
 )
 
-#: Slowest log rate the integrator accepts.
-MIN_FEASIBLE_RATE = 10.0
+
+def _require_finite(obj, names) -> None:
+    """Reject a NaN or an infinity in the named number (or tuple) fields: a
+    NaN passes every range comparison, and a dataset can carry either."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +101,7 @@ class ScenarioConfig:
     corridor_halfwidth: float = 1.75
 
     def __post_init__(self) -> None:
-        # A NaN passes every comparison below; a dataset header can carry one.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        _require_finite(self, (f.name for f in fields(self)))
         for name in ("d0_range", "v0_range", "ped_speed_range", "duration_range"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo <= hi):
@@ -108,8 +111,8 @@ class ScenarioConfig:
             raise ConfigError("behavior weights must be four nonnegative numbers")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ConfigError(f"behavior weights must sum to 1, got {sum(w)}")
-        if self.log_rate < MIN_FEASIBLE_RATE:
-            raise ConfigError(f"log rate must be at least {MIN_FEASIBLE_RATE} Hz")
+        if self.log_rate < MIN_LOG_RATE:  # the feature window's floor
+            raise ConfigError(f"log rate must be at least {MIN_LOG_RATE} Hz")
         if self.a_max_brake <= 0.0 or self.a_max_accel <= 0.0:
             raise ConfigError("acceleration bounds must be positive")
         if not (0.0 < self.brake_trigger_decel <= self.a_max_brake):
@@ -140,10 +143,18 @@ class Scenario:
     noise_seed: int
     config: ScenarioConfig
 
+    def __post_init__(self) -> None:
+        _require_finite(self, (f.name for f in fields(self) if f.type == "float"))
+
     @property
     def n_frames(self) -> int:
         """Frames the episode logs: both ends of its duration at the log rate."""
         return int(round(self.duration * self.config.log_rate)) + 1
+
+    @property
+    def occ_start_x(self) -> float:
+        """The occluder's center at t = 0: its front bumper ``d0`` short of the crosswalk."""
+        return self.config.crosswalk_x - self.d0 - self.config.occluder_length / 2.0
 
     def to_dict(self) -> dict:
         return {
@@ -181,25 +192,33 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> Scenari
 class EpisodeLog:
     """Time series of one episode at the configured log rate.
 
-    Positions are centers; the occluder's front bumper is available as
-    ``occ_front_x``.  ``ped_y`` is NaN and ``ped_speed`` 0 wherever the
-    pedestrian is absent, so ``ped_present`` is derived from ``ped_y``.
-    Scene geometry is derived on demand from the stored states rather than
-    persisted per frame.
+    Only integrated states are given: the occluder's center ``occ_x`` and
+    speed ``occ_speed``, and ``ped_y``, NaN wherever the pedestrian is absent
+    (``ped_present``).  ``t``, ``ego_x`` and the realized ``occ_accel`` (the
+    last frame repeating the one before it, 0 in a one-frame log) are
+    derived from them and the scenario once, when the log is made.
     """
 
-    t: np.ndarray
-    ego_x: np.ndarray
     occ_x: np.ndarray
     occ_speed: np.ndarray
-    occ_accel: np.ndarray
     ped_y: np.ndarray
-    ped_speed: np.ndarray
     scenario: Scenario
+    t: np.ndarray = field(init=False, repr=False)
+    ego_x: np.ndarray = field(init=False, repr=False)
+    occ_accel: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Eager, not on first use: arrays made lazily inside train's frame
+        # loop sit between its transient stacks and raised its peak RSS.
+        dt = 1.0 / self.config.log_rate
+        self.t = np.arange(self.n_frames) * dt
+        self.ego_x = (self.scenario.occ_start_x - self.config.ego_gap) + self.scenario.ego_speed * self.t
+        accel = np.diff(self.occ_speed) / dt
+        self.occ_accel = np.append(accel, accel[-1] if accel.size else 0.0)
 
     @property
     def n_frames(self) -> int:
-        return len(self.t)
+        return len(self.occ_x)
 
     @property
     def ped_present(self) -> np.ndarray:
@@ -295,7 +314,6 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
     lengths = np.array([s.n_frames for s in scenarios])
     n_eps, n = len(scenarios), int(lengths.max())
 
-    d0 = np.array([s.d0 for s in scenarios])
     v0 = np.array([s.v0 for s in scenarios])
     ped_speed = np.array([s.ped_speed for s in scenarios])
     t_appear = np.array([s.t_appear for s in scenarios])
@@ -310,12 +328,9 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
 
     occ_x = np.empty((n_eps, n))
     occ_speed = np.empty((n_eps, n))
-    occ_accel = np.zeros((n_eps, n))
     ped_y = np.full((n_eps, n), np.nan)
-    ped_speed_arr = np.zeros((n_eps, n))
 
-    start_x = cfg.crosswalk_x - d0 - half_len  # center position
-    x = start_x
+    x = np.array([s.occ_start_x for s in scenarios])
     v = v0
     walking = np.zeros(n_eps, dtype=bool)
     braking = np.zeros(n_eps, dtype=bool)
@@ -334,7 +349,6 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
         occ_x[:, i] = x
         occ_speed[:, i] = v
         ped_y[:, i] = np.where(present, y_ped, np.nan)
-        ped_speed_arr[:, i] = np.where(present & stepping, ped_speed, 0.0)
 
         if i == n - 1:
             break
@@ -363,32 +377,13 @@ def _run_lockstep(scenarios: list[Scenario]) -> list[EpisodeLog]:
             a_cmd += cfg.accel_noise_sigma * noise[:, i]
         a_cmd = np.clip(a_cmd, -cfg.a_max_brake, cfg.a_max_accel)
 
-        v_next = np.maximum(0.0, v + a_cmd * dt)
-        occ_accel[:, i] = (v_next - v) / dt  # realized, after clipping at rest
         x = x + v * dt
-        v = v_next
+        v = np.maximum(0.0, v + a_cmd * dt)
 
         y_ped = np.where(stepping, np.minimum(cfg.ped_far_y, y_ped + ped_speed * dt), y_ped)
 
-    # Each episode's last frame repeats its realized acceleration before it.
-    rows = np.flatnonzero(lengths > 1)
-    occ_accel[rows, lengths[rows] - 1] = occ_accel[rows, lengths[rows] - 2]
-
-    t_arr = np.arange(n) * dt
-    ego_x = (start_x - cfg.ego_gap)[:, None] + np.array([s.ego_speed for s in scenarios])[:, None] * t_arr
-    return [
-        EpisodeLog(
-            t=t_arr[:m].copy(),
-            ego_x=ego_x[e, :m],
-            occ_x=occ_x[e, :m],
-            occ_speed=occ_speed[e, :m],
-            occ_accel=occ_accel[e, :m],
-            ped_y=ped_y[e, :m],
-            ped_speed=ped_speed_arr[e, :m],
-            scenario=s,
-        )
-        for e, (s, m) in enumerate(zip(scenarios, lengths))
-    ]
+    return [EpisodeLog(occ_x=occ_x[e, :m], occ_speed=occ_speed[e, :m], ped_y=ped_y[e, :m], scenario=s)
+            for e, (s, m) in enumerate(zip(scenarios, lengths))]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +455,9 @@ def _dump(obj) -> str:
 
 #: The :class:`EpisodeLog` signals a dataset record holds, one array each.
 #: ``ped_y`` is null in frames without a pedestrian, and reads back as NaN.
-_COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_y", "ped_speed")
+_COLUMNS = ("occ_x", "occ_speed", "ped_y")
+#: :class:`ScenarioConfig` fields that hold a tuple; JSON gives them as lists.
+_TUPLE_FIELDS = {f.name for f in fields(ScenarioConfig) if isinstance(f.default, tuple)}
 
 
 def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_episodes: int) -> int:
@@ -476,8 +473,7 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
             "config": asdict(config),
         }) + "\n")
         for index, (scenario, log) in enumerate(episodes):
-            record = {"type": "episode", "index": index, "behavior": scenario.behavior.value,
-                      "scenario": scenario.to_dict()}
+            record = {"type": "episode", "index": index, "scenario": scenario.to_dict()}
             for name in _COLUMNS:
                 values = np.where(log.ped_present, log.ped_y, None) if name == "ped_y" else getattr(log, name)
                 record[name] = values.tolist()
@@ -489,10 +485,11 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
 def read_episodes(path: str) -> list[EpisodeLog]:
     """Read a dataset written by :func:`write_episodes`.
 
-    A dataset must start with a schema-2 header and hold the header's
+    A dataset must start with a schema-3 header and hold the header's
     ``n_episodes`` episodes, indexed 0 to n - 1 in order, each with the
     frame count its duration implies at the log rate in every column, so a
-    file cut anywhere is rejected.
+    file cut anywhere is rejected.  Every stored value and every scenario
+    float must be finite; only ``ped_y`` may be null.
     """
     header = None
     logs: list[EpisodeLog] = []
@@ -524,17 +521,10 @@ def _header_config(path: str, header) -> ScenarioConfig:
         raise DataError(f"{path}: dataset has schema_version {header.get('schema_version')!r}, "
                         f"but only {SCHEMA_VERSION} is read; re-run simulate to rewrite it")
     try:
-        return ScenarioConfig(**_config_kwargs(header["config"]))
-    except (KeyError, TypeError, ConfigError) as exc:
+        return ScenarioConfig(**{key: tuple(value) if key in _TUPLE_FIELDS else value
+                                 for key, value in header["config"].items()})
+    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise DataError(f"{path}: bad config in header: {exc}") from exc
-
-
-def _config_kwargs(d: dict) -> dict:
-    kwargs = dict(d)
-    for key in ("d0_range", "v0_range", "behavior_weights", "ped_speed_range", "duration_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return kwargs
 
 
 def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeLog:
@@ -545,7 +535,7 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
         scenario = Scenario(
             d0=float(sc["d0"]),
             v0=float(sc["v0"]),
-            behavior=PedestrianBehavior(rec["behavior"]),
+            behavior=PedestrianBehavior(sc["behavior"]),
             ped_speed=float(sc["ped_speed"]),
             t_appear=float(sc["t_appear"]),
             duration=float(sc["duration"]),
@@ -554,14 +544,16 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
             config=config,
         )
         columns = {name: np.array(rec[name], dtype=float) for name in _COLUMNS}
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DataError(f"{path}: malformed episode record: {exc}") from exc
+    except (KeyError, ValueError, TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed episode {index}: {exc}") from exc
     for name, values in columns.items():
         if values.shape != (scenario.n_frames,):
             raise DataError(f"{path}: episode {index} has {values.size} {name} values; "
                             f"its duration needs {scenario.n_frames} frames")
         # Only ped_y may be null (pedestrian absent); null reads as NaN.
-        if name != "ped_y" and np.isnan(values).any():
-            raise DataError(f"{path}: episode {index} has a null {name} value at frame "
-                            f"{int(np.argmax(np.isnan(values)))}")
+        bad = np.isinf(values) if name == "ped_y" else ~np.isfinite(values)
+        if bad.any():
+            frame = int(np.argmax(bad))
+            kind = "a null" if np.isnan(values[frame]) else "an infinite"
+            raise DataError(f"{path}: episode {index} has {kind} {name} value at frame {frame}")
     return EpisodeLog(**columns, scenario=scenario)

@@ -510,6 +510,24 @@ def test_null_outside_ped_y_exits_2(grid_run, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+def test_infinite_episode_value_exits_2(grid_run, tmp_path, command):
+    """An infinite speed used to reach k-means (train exited 3) or be scored
+    as it stood (standard-only eval exited 0)."""
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["occ_speed"][5] = float("inf")
+    lines[3] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eval.methods = standard\n")
+    out = tmp_path / command
+    argv = [command, "--dataset", str(dataset), "--config", str(cfg), "--seed", "11", "--out", str(out)]
+    assert main(argv) == 2
+    assert "episode 2 has an infinite occ_speed value at frame 5" in manifest(out, command)["error"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_one_episode_dataset_exits_2(grid_run, tmp_path, command):
     """Too few episodes to split is bad input data, as a one-clip landmark
     dataset is, not a bad config."""
@@ -579,6 +597,7 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("train", "logit.max_iters = -5"),
     ("train", "train.alpha = inf"),
     ("train", "sim.log_rate = inf"),
+    ("train", "sim.log_rate = 15"),
     ("train", "sim.d0_range = 25, nan"),
     ("train", "logit.reg = inf"),
     ("train", "grid.resolution = inf"),

@@ -23,9 +23,9 @@ def test_parse_seeds_mixes_ranges_and_single_seeds():
 
 
 def test_seed_psi_means_per_method_and_behaviour(tmp_path):
-    header = {"type": "header", "schema_version": 2}
-    episodes = [{"type": "episode", "index": 0, "behavior": "stand"},
-                {"type": "episode", "index": 1, "behavior": "absent"}]
+    header = {"type": "header", "schema_version": 3}
+    episodes = [{"type": "episode", "index": 0, "scenario": {"behavior": "stand"}},
+                {"type": "episode", "index": 1, "scenario": {"behavior": "absent"}}]
     (tmp_path / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in [header, *episodes]))
     frames = [
         (0, 0.5, "standard", 1.0), (0, 0.5, "fused", 0.5),
@@ -53,7 +53,7 @@ def test_each_seed_runs_through_the_same_bits_pipeline_runner(tmp_path, monkeypa
     def fake_run(tree, argvs):
         runs.append((tree, argvs))
         out = Path(argvs[0][argvs[0].index("--out") + 1])
-        episodes = [{"index": i, "behavior": b} for i, b in enumerate(seed_sweep.BEHAVIORS)]
+        episodes = [{"index": i, "scenario": {"behavior": b}} for i, b in enumerate(seed_sweep.BEHAVIORS)]
         (out / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in [{"type": "header"}, *episodes]))
         (out / "eval_frames.csv").write_text("episode,t,method,psi\n" + "".join(
             f"{i},0.5,standard,2.0\n{i},0.5,fused,1.0\n" for i in range(len(episodes))))

@@ -8,7 +8,6 @@ from occlusense.grid import GridSpec
 from occlusense.simulator import (
     BEHAVIOR_ORDER,
     CHUNK_EPISODES,
-    EpisodeLog,
     PedestrianBehavior,
     Scenario,
     ScenarioConfig,
@@ -102,8 +101,7 @@ def test_config_validation():
 def test_batch_determinism_bit_identical():
     for (sa, la), (sb, lb) in zip(batch(5, seed=42), batch(5, seed=42)):
         assert sa.to_dict() == sb.to_dict()
-        for name in ("t", "ego_x", "occ_x", "occ_speed",
-                     "occ_accel", "ped_present", "ped_speed"):
+        for name in ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_present"):
             assert np.array_equal(getattr(la, name), getattr(lb, name)), name
         assert np.array_equal(la.ped_y, lb.ped_y, equal_nan=True)
 
@@ -127,7 +125,8 @@ def test_bold_cross_stops_before_crosswalk():
 
 def test_wait_then_cross_walks_only_after_slowdown():
     log = run_episode(fixed_scenario(PedestrianBehavior.WAIT_THEN_CROSS, duration=10.0))
-    moving = log.ped_speed > 0.0
+    # Moving from the first frame after which ped_y grows (walking never stops).
+    moving = np.logical_or.accumulate(np.append(np.diff(log.ped_y) > 0.0, False))
     assert moving.any()
     first_step = int(np.argmax(moving))
     assert log.occ_speed[first_step] < log.config.wait_trigger_speed
@@ -141,7 +140,6 @@ def test_stand_behavior_never_walks():
     present = log.ped_present
     assert present.any()
     np.testing.assert_allclose(log.ped_y[present], log.config.ped_side_y)
-    assert np.all(log.ped_speed[present] == 0.0)
 
 
 def test_ego_constant_velocity():
@@ -199,7 +197,9 @@ def test_simulate_batch_rejects_empty():
 
 def reference_episode(scenario):
     """The one-episode per-frame loop the lockstep integrator replaced, kept
-    verbatim as the reference every lockstep log must equal bit for bit."""
+    as the reference every lockstep log must equal bit for bit.  It returns
+    its columns by name: the stored states and, computed its own way, the
+    ``t``, ``ego_x`` and ``occ_accel`` that a log derives."""
     cfg = scenario.config
     dt = 1.0 / cfg.log_rate
     n = scenario.n_frames
@@ -210,7 +210,6 @@ def reference_episode(scenario):
     occ_speed = np.empty(n)
     occ_accel = np.zeros(n)
     ped_y = np.full(n, np.nan)
-    ped_speed_arr = np.zeros(n)
 
     x = cfg.crosswalk_x - scenario.d0 - half_len  # center position
     v = scenario.v0
@@ -233,7 +232,6 @@ def reference_episode(scenario):
         occ_speed[i] = v
         if present:
             ped_y[i] = y_ped
-            ped_speed_arr[i] = scenario.ped_speed if (walking and not arrived) else 0.0
 
         if i == n - 1:
             break
@@ -278,21 +276,20 @@ def reference_episode(scenario):
 
     t_arr = np.arange(n) * dt
     ego_x = (cfg.crosswalk_x - scenario.d0 - half_len) - cfg.ego_gap + scenario.ego_speed * t_arr
-    return EpisodeLog(t=t_arr, ego_x=ego_x, occ_x=occ_x, occ_speed=occ_speed,
-                      occ_accel=occ_accel, ped_y=ped_y,
-                      ped_speed=ped_speed_arr, scenario=scenario)
+    return {"t": t_arr, "ego_x": ego_x, "occ_x": occ_x, "occ_speed": occ_speed,
+            "occ_accel": occ_accel, "ped_present": ~np.isnan(ped_y), "ped_y": ped_y}
 
 
-LOG_COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_present", "ped_y", "ped_speed")
+LOG_COLUMNS = ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_present", "ped_y")
 
 
 def assert_matches_reference(logs):
-    """Every log equals the reference loop's log of its scenario, bit for bit
-    (so NaN ped_y and signed zeros must match too)."""
+    """Every log equals the reference loop's columns for its scenario, bit
+    for bit (so NaN ped_y and signed zeros must match too)."""
     for log in logs:
         want = reference_episode(log.scenario)
         for name in LOG_COLUMNS:
-            got, ref = getattr(log, name), getattr(want, name)
+            got, ref = getattr(log, name), want[name]
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), (name, log.scenario)
 
@@ -451,8 +448,7 @@ def test_jsonl_round_trip(tmp_path):
     assert len(logs) == 4
     for (_, orig), loaded in zip(episodes, logs):
         assert loaded.scenario.behavior is orig.scenario.behavior
-        for name in ("t", "ego_x", "occ_x", "occ_speed",
-                     "occ_accel", "ped_present", "ped_speed"):
+        for name in ("t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_present"):
             assert np.array_equal(getattr(orig, name), getattr(loaded, name)), name
         assert np.array_equal(orig.ped_y, loaded.ped_y, equal_nan=True)
         assert loaded.scenario.to_dict() == orig.scenario.to_dict()
@@ -476,23 +472,38 @@ def test_read_rejects_malformed(tmp_path):
 def test_read_rejects_schema_1_dataset(tmp_path):
     cfg = ScenarioConfig()
     path = tmp_path / "episodes.jsonl"
-    write_episodes(str(path), batch(1, seed=1, config=cfg), cfg, seed=1, n_episodes=1)
+    episodes = batch(1, seed=1, config=cfg)
+    write_episodes(str(path), episodes, cfg, seed=1, n_episodes=1)
     header, record = map(json.loads, path.read_text().splitlines())
     header["schema_version"] = 1
     # schema 1: an episode header, then one record per frame
-    lines = [header, {"type": "episode", "index": 0, "behavior": record["behavior"],
+    (scenario, log), = episodes
+    lines = [header, {"type": "episode", "index": 0, "behavior": scenario.behavior.value,
                       "scenario": record["scenario"]}]
-    for i, t in enumerate(record["t"]):
-        ped_y = record["ped_y"][i]
+    for i, t in enumerate(log.t.tolist()):
         lines.append({
             "type": "frame",
             "t": t,
-            "ego": [record["ego_x"][i], cfg.lane_offset, 0.0, record["scenario"]["ego_speed"]],
-            "occ": [record["occ_x"][i], 0.0, 0.0, record["occ_speed"][i], record["occ_accel"][i]],
-            "ped": None if ped_y is None else [cfg.crosswalk_x, ped_y, record["ped_speed"][i]],
+            "ego": [float(log.ego_x[i]), cfg.lane_offset, 0.0, scenario.ego_speed],
+            "occ": [float(log.occ_x[i]), 0.0, 0.0, float(log.occ_speed[i]), float(log.occ_accel[i])],
+            "ped": [cfg.crosswalk_x, float(log.ped_y[i]), 0.0] if log.ped_present[i] else None,
         })
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     with pytest.raises(DataError, match="schema_version 1"):
+        read_episodes(str(path))
+
+
+def test_read_rejects_schema_2_dataset(tmp_path):
+    """Schema 2 also stored t, ego_x, occ_accel and ped_speed, and the
+    behaviour at the record's top level."""
+    path, (header, line) = write_dataset(tmp_path, 1)
+    header, record = json.loads(header), json.loads(line)
+    header["schema_version"] = 2
+    (_, log), = batch(1, seed=1)
+    record.update(behavior=record["scenario"]["behavior"], t=log.t.tolist(), ego_x=log.ego_x.tolist(),
+                  occ_accel=log.occ_accel.tolist(), ped_speed=[0.0] * log.n_frames)
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(DataError, match="schema_version 2, but only 3 is read; re-run simulate"):
         read_episodes(str(path))
 
 
@@ -530,16 +541,39 @@ def test_read_rejects_episode_without_frames(tmp_path):
     record = json.loads(line)
     record["occ_speed"].pop()
     path.write_text(header + "\n" + json.dumps(record) + "\n")
-    n = len(record["t"])
+    n = len(record["occ_x"])
     with pytest.raises(DataError, match=f"{n - 1} occ_speed values; its duration needs {n} frames"):
         read_episodes(str(path))
 
 
-@pytest.mark.parametrize("column", ["t", "ego_x", "occ_x", "occ_speed", "occ_accel", "ped_speed"])
-def test_read_rejects_null_outside_ped_y(tmp_path, column):
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("column,value,error", [
+    ("occ_x", None, "episode 1 has a null occ_x value at frame 5"),
+    ("occ_speed", None, "episode 1 has a null occ_speed value at frame 5"),
+    ("occ_x", NAN, "episode 1 has a null occ_x value at frame 5"),
+    ("occ_speed", INF, "episode 1 has an infinite occ_speed value at frame 5"),
+    ("occ_x", -INF, "episode 1 has an infinite occ_x value at frame 5"),
+    ("ped_y", INF, "episode 1 has an infinite ped_y value at frame 5"),
+    ("ped_y", -INF, "episode 1 has an infinite ped_y value at frame 5"),
+    ("d0", NAN, "malformed episode 1: d0 must be finite"),
+    ("ego_speed", INF, "malformed episode 1: ego_speed must be finite"),
+    ("duration", NAN, "malformed episode 1: duration must be finite"),
+    ("duration", INF, "malformed episode 1: duration must be finite"),
+    ("t_appear", -INF, "malformed episode 1: t_appear must be finite"),
+], ids=["occ_x", "occ_speed", "occ_x-nan", "occ_speed-inf", "occ_x--inf", "ped_y-inf", "ped_y--inf",
+        "scenario.d0-nan", "scenario.ego_speed-inf", "scenario.duration-nan", "scenario.duration-inf",
+        "scenario.t_appear--inf"])
+def test_read_rejects_null_outside_ped_y(tmp_path, column, value, error):
+    """Stored values must be finite and only ped_y may be null (JSON's NaN
+    reads as a null does); every float of the scenario must be finite."""
     path, (header, first, second) = write_dataset(tmp_path, 2)
     record = json.loads(second)
-    record[column][5] = None
+    if column in record["scenario"]:
+        record["scenario"][column] = value
+    else:
+        record[column][5] = value
     path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
-    with pytest.raises(DataError, match=f"episode 1 has a null {column} value at frame 5"):
+    with pytest.raises(DataError, match=error):
         read_episodes(str(path))

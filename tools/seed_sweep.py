@@ -58,7 +58,7 @@ def seed_psi(out: Path) -> dict[tuple[str, str], float]:
         next(fh)  # header
         for line in fh:
             rec = json.loads(line)
-            behavior[rec["index"]] = rec["behavior"]
+            behavior[rec["index"]] = rec["scenario"]["behavior"]
     values = defaultdict(list)
     with open(out / "eval_frames.csv", newline="") as fh:
         for row in csv.DictReader(fh):
