@@ -38,7 +38,7 @@ from .landmark import (
     posterior_over_region,
 )
 from .metrics import improvement_ratio, score_pair
-from .perception import Obstacle, Pose2D, Scan, SceneGeometry, raycast_scan, standard_inverse_update, visibility_mask
+from .perception import Obstacle, Scan, raycast_scan, standard_inverse_update, visibility_mask
 from .simulator import EpisodeLog, PedestrianBehavior, Scenario, ScenarioConfig, run_episode, sample_scenario, simulate_batch
 
 __version__ = "0.1.0"
@@ -58,11 +58,9 @@ __all__ = [
     "OccludedRegion",
     "OccupancyGrid",
     "PedestrianBehavior",
-    "Pose2D",
     "Scan",
     "Scenario",
     "ScenarioConfig",
-    "SceneGeometry",
     "SemanticAction",
     "SpecMismatchError",
     "assign_actionlet",

@@ -179,7 +179,7 @@ _KEYS = {
     "sim.n_episodes": ("n_episodes", _COUNT),
     "train.split": ("train_split", _checked(_FLOAT, lambda v: 0.0 < v < 1.0, "inside (0, 1)")),
     "train.k": ("k_actionlets", _COUNT),
-    "train.alpha": ("smoothing_alpha", _checked(_FLOAT, lambda v: v >= 0.0, "nonnegative")),
+    "train.alpha": ("smoothing_alpha", _checked(_FLOAT, lambda v: v > 0.0, "positive")),
     "train.stride": ("train_stride", _COUNT),
     "eval.stride": ("eval_stride", _COUNT),
     "eval.methods": ("eval_methods", _checked(_split, lambda ms: set(ms) <= set(EVAL_METHODS),
@@ -373,10 +373,14 @@ def _eval_frame_indices(log, stride: int) -> np.ndarray:
 
 def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, 21) feature rows and (N, n_cells) true 0/1 maps (``uint8``) over
-    the training episodes, one call per layer and episode."""
-    features, maps = [], []
+    the training episodes, one call per layer and episode.  An episode too
+    short for a feature window adds no row."""
+    features = [np.empty((0, 21))]
+    maps = [np.empty((0, template.n_cells), dtype=np.uint8)]
     for log in logs:
         frames = _eval_frame_indices(log, stride)
+        if len(frames) == 0:
+            continue
         features.append(extract_features(log, log.t[frames]))
         truth = ground_truth_grid(log, frames, anchored_spec_at(template, log, frames))
         maps.append(truth.cells)

@@ -1,10 +1,10 @@
 """Simulated range sensing and the standard occupancy baseline.
 
-A planar lidar facing +x, the road direction, casts n evenly spaced beams
-against axis-aligned rectangular obstacles.  Grid cells are then classified
-visible or occluded by comparing each cell center's range against the beam
-nearest to it in bearing, and visible cells are updated with a fixed
-inverse sensor model.
+A planar lidar at an ``(x, y)`` origin casts n evenly spaced beams, beam 0
+along +x (the road direction), against a tuple of axis-aligned rectangular
+obstacles.  Grid cells are then classified visible or occluded by comparing
+each cell center's range against the beam nearest to it in bearing, and
+visible cells are updated with a fixed inverse sensor model.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .grid import GridSpec, OccupancyGrid, bayes_cell_update
 P_OCC_UPDATE = 0.9
 P_FREE_UPDATE = 0.2
 
-DEFAULT_N_BEAMS = 360
-DEFAULT_MAX_RANGE = 50.0
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -34,23 +31,12 @@ def _per_frame(coordinate) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pose2D:
-    """Sensor position; the sensor faces +x, the road direction.
-
-    ``x`` and ``y`` may be (F,) arrays: one position per frame of a stack.
-    """
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class Obstacle:
-    """Axis-aligned rectangle: center, half extents along x and y.
+    """Axis-aligned rectangle: ``(x, y)`` center, half extents along x and y.
 
-    Center coordinates may be (F,) arrays, one position per frame of a
-    stack; a NaN center marks a frame the obstacle is absent from, and
-    every beam misses it there.
+    A scene is a tuple of obstacles.  Center coordinates may be (F,) arrays,
+    one position per frame of a stack; a NaN center marks a frame the
+    obstacle is absent from, and every beam misses it there.
     """
 
     center: tuple[float, float]
@@ -69,27 +55,19 @@ class Obstacle:
         return local + center[..., None, :]
 
 
-@dataclass(frozen=True)
-class SceneGeometry:
-    """Static obstacle set for one instant, or for each frame of a stack."""
-
-    obstacles: tuple[Obstacle, ...] = ()
-
-    def __init__(self, obstacles=()):
-        object.__setattr__(self, "obstacles", tuple(obstacles))
-
-
 @dataclass
 class Scan:
     """One full sweep of n evenly spaced beams, or one sweep per frame.
 
     Beam i points at bearing ``2*pi*i/n``, measured from +x, so beam 0
-    looks straight ahead along the road.  ``ranges`` and ``hits`` are (n,)
-    for one sweep and (F, n) for a stack.  A beam with ``hit`` False
-    traveled to ``max_range`` without striking anything.
+    looks straight ahead along the road.  ``origin`` is the sensor's
+    ``(x, y)``, scalars or (F,) arrays as in ``Obstacle.center``.
+    ``ranges`` and ``hits`` are (n,) for one sweep and (F, n) for a stack.
+    A beam with ``hit`` False traveled to ``max_range`` without striking
+    anything.
     """
 
-    origin: Pose2D
+    origin: tuple[float, float]
     ranges: np.ndarray
     hits: np.ndarray
     max_range: float
@@ -165,18 +143,14 @@ def _bearing_windows(o0, o1, rect: Obstacle, n: int) -> tuple[np.ndarray, np.nda
     return first, count
 
 
-def raycast_scan(
-    scene: SceneGeometry,
-    ego: Pose2D,
-    n_beams: int = DEFAULT_N_BEAMS,
-    max_range: float = DEFAULT_MAX_RANGE,
-) -> Scan:
-    """Cast evenly spaced beams over [0, 2*pi) from the ego position.
+def raycast_scan(obstacles: tuple[Obstacle, ...], origin: tuple[float, float], n_beams: int,
+                 max_range: float) -> Scan:
+    """Cast evenly spaced beams over [0, 2*pi) from the ``(x, y)`` origin.
 
-    Each beam reports the nearest rectangle intersection, capped at
-    ``max_range``; beams that strike nothing report ``max_range`` with
-    ``hit`` False.  A pose or obstacles holding (F,) positions cast one
-    sweep per frame in one call.  Each rectangle is tested only on the
+    Each beam reports the nearest intersection with any of ``obstacles``,
+    capped at ``max_range``; beams that strike nothing report ``max_range``
+    with ``hit`` False.  An origin or obstacles holding (F,) positions cast
+    one sweep per frame in one call.  Each rectangle is tested only on the
     (frame, beam) pairs inside its bearing window; every other beam misses
     it.
     """
@@ -184,16 +158,16 @@ def raycast_scan(
         raise ValueError("need at least one beam")
     bearings = TWO_PI * np.arange(n_beams) / n_beams
     dx, dy = np.cos(bearings), np.sin(bearings)
-    frames = np.broadcast_shapes(np.shape(ego.x), np.shape(ego.y),
-                                 *(np.shape(c) for rect in scene.obstacles for c in rect.center))
+    frames = np.broadcast_shapes(*(np.shape(c) for c in origin),
+                                 *(np.shape(c) for rect in obstacles for c in rect.center))
     n_frames = math.prod(frames)
 
     def flat(coordinate) -> np.ndarray:
         return np.broadcast_to(np.asarray(coordinate, dtype=float), frames).reshape(n_frames)
 
-    ox, oy = flat(ego.x), flat(ego.y)
+    ox, oy = (flat(c) for c in origin)
     t_min = np.full(n_frames * n_beams, np.inf)
-    for rect in scene.obstacles:
+    for rect in obstacles:
         o0, o1 = ox - flat(rect.center[0]), oy - flat(rect.center[1])
         first, count = _bearing_windows(o0, o1, rect, n_beams)
         # Each frame's candidates are `count` consecutive beams from `first`, wrapping at n.
@@ -204,7 +178,7 @@ def raycast_scan(
     t_min = t_min.reshape(*frames, n_beams)
     hits = t_min <= max_range
     ranges = np.where(hits, t_min, max_range)
-    return Scan(ego, ranges, hits, max_range)
+    return Scan(origin, ranges, hits, max_range)
 
 
 def visibility_mask(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +196,9 @@ def visibility_mask(scan: Scan, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]
     """
     n = scan.ranges.shape[-1]
     centers = spec.cell_centers()
-    dx = centers[..., 0] - _per_frame(scan.origin.x)
-    dy = centers[..., 1] - _per_frame(scan.origin.y)
+    ox, oy = scan.origin
+    dx = centers[..., 0] - _per_frame(ox)
+    dy = centers[..., 1] - _per_frame(oy)
     cell_range = np.hypot(dx, dy)
     cell_bearing = np.mod(np.arctan2(dy, dx), TWO_PI)
     nearest = np.rint(cell_bearing / (TWO_PI / n)).astype(np.intp) % n

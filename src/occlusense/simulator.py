@@ -31,7 +31,7 @@ import numpy as np
 from .behavior import MIN_LOG_RATE
 from .errors import ConfigError, DataError
 from .grid import BinaryMap, GridSpec
-from .perception import Obstacle, Pose2D, SceneGeometry
+from .perception import Obstacle
 from .seeds import named_seed_sequence
 
 SCHEMA_VERSION = 3
@@ -106,6 +106,9 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not (0.0 < lo <= hi):
                 raise ConfigError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
+        for name in ("occluder_length", "occluder_width", "ped_size"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         w = self.behavior_weights
         if len(w) != len(BEHAVIOR_ORDER) or any(x < 0.0 for x in w):
             raise ConfigError("behavior weights must be four nonnegative numbers")
@@ -145,6 +148,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _require_finite(self, (f.name for f in fields(self) if f.type == "float"))
+        if self.duration <= 0.0:  # as every duration ScenarioConfig samples
+            raise ConfigError(f"duration must be positive, got {self.duration!r}")
 
     @property
     def n_frames(self) -> int:
@@ -241,11 +246,11 @@ class EpisodeLog:
     def ego_y(self) -> float:
         return self.config.lane_offset
 
-    def ego_pose(self, frame) -> Pose2D:
-        """Ego pose at one frame, or at each frame of an index array."""
-        return Pose2D(self.ego_x[frame], self.ego_y)
+    def ego_pose(self, frame) -> tuple[float, float]:
+        """Ego ``(x, y)`` at one frame, or at each frame of an index array."""
+        return self.ego_x[frame], self.ego_y
 
-    def scene_at(self, frame) -> SceneGeometry:
+    def scene_at(self, frame) -> tuple[Obstacle, ...]:
         """Obstacles visible to the ego (occluder, pedestrian) at one frame,
         or at each frame of an index array.  The pedestrian's center is NaN
         in frames it is absent from."""
@@ -263,7 +268,7 @@ class EpisodeLog:
                     half_extents=(cfg.ped_size / 2.0, cfg.ped_size / 2.0),
                 )
             )
-        return SceneGeometry(obstacles)
+        return tuple(obstacles)
 
 
 #: Episodes integrated side by side in one lockstep chunk.  Each frame step

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from occlusense.grid import BinaryMap, GridSpec, joint_map_probability
-from occlusense.perception import Obstacle, Pose2D, SceneGeometry
+from occlusense.perception import Obstacle
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,18 @@ def _seg_ray_t(ox, oy, dx, dy, ax, ay, bx, by):
     return math.inf
 
 
-def dense_ray_range(scene: SceneGeometry, ego: Pose2D, bearing: float, max_range: float):
+def dense_ray_range(scene: tuple[Obstacle, ...], ego: tuple[float, float], bearing: float, max_range: float):
     """(range, hit) along one exact bearing, via per-edge intersection."""
+    ex, ey = ego
     dx = math.cos(bearing)
     dy = math.sin(bearing)
     best = math.inf
-    for obs in scene.obstacles:
+    for obs in scene:
         corners = obs.corners()
         for i in range(4):
             ax, ay = corners[i]
             bx, by = corners[(i + 1) % 4]
-            t = _seg_ray_t(ego.x, ego.y, dx, dy, ax, ay, bx, by)
+            t = _seg_ray_t(ex, ey, dx, dy, ax, ay, bx, by)
             if t < best:
                 best = t
     if best <= max_range:
@@ -115,7 +116,7 @@ def dense_ray_range(scene: SceneGeometry, ego: Pose2D, bearing: float, max_range
     return max_range, False
 
 
-def dense_resampled_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int,
+def dense_resampled_scan(scene: tuple[Obstacle, ...], ego: tuple[float, float], n_beams: int,
                          max_range: float, density: int = 10):
     """Cast rays at ``density`` x the beam count; return the full dense field
     plus the sensor's own bearings re-derived from it.
@@ -137,14 +138,14 @@ def dense_resampled_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int,
     return dense_ranges, dense_hits, coarse
 
 
-def cell_sensor_geometry(spec: GridSpec, ego: Pose2D, col: int, row: int):
+def cell_sensor_geometry(spec: GridSpec, ego: tuple[float, float], col: int, row: int):
     """(range, bearing in [0, 2pi)) of a cell center, by scalar math."""
     cx, cy = spec.cell_center(col, row)
-    sx, sy = cx - ego.x, cy - ego.y
+    sx, sy = cx - ego[0], cy - ego[1]
     return math.sqrt(sx * sx + sy * sy), math.atan2(sy, sx) % (2.0 * math.pi)
 
 
-def rule_visibility_mask(spec: GridSpec, ego: Pose2D, coarse: dict, max_range: float) -> np.ndarray:
+def rule_visibility_mask(spec: GridSpec, ego: tuple[float, float], coarse: dict, max_range: float) -> np.ndarray:
     """Occlusion labels from re-derived beams: nearest beam by bearing, a
     cell is occluded beyond hit + half a cell, or beyond max_range."""
     n = len(coarse["bearings"])
@@ -163,22 +164,22 @@ def rule_visibility_mask(spec: GridSpec, ego: Pose2D, coarse: dict, max_range: f
 
 
 def random_occlusion_scene(rng: np.random.Generator):
-    """A randomized <=3-obstacle scene, ego pose, and nearby world grid."""
-    ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    """A randomized <=3-obstacle scene, ego position, and nearby world grid."""
+    ex, ey = ego = (rng.uniform(-5, 5), rng.uniform(-5, 5))
     obstacles = []
     for _ in range(int(rng.integers(0, 4))):
         r = rng.uniform(5.0, 25.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         obstacles.append(Obstacle(
-            center=(ego.x + r * math.cos(phi), ego.y + r * math.sin(phi)),
+            center=(ex + r * math.cos(phi), ey + r * math.sin(phi)),
             half_extents=(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)),
         ))
     gr = rng.uniform(4.0, 15.0)
     gphi = rng.uniform(0.0, 2.0 * math.pi)
     spec = GridSpec(6, 7, 1.0,
-                    (ego.x + gr * math.cos(gphi), ego.y + gr * math.sin(gphi)),
+                    (ex + gr * math.cos(gphi), ey + gr * math.sin(gphi)),
                     "world")
-    return SceneGeometry(obstacles), ego, spec
+    return tuple(obstacles), ego, spec
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +259,14 @@ def _full_sweep_rectangle_t(ox, oy, dx, dy, rect: Obstacle) -> np.ndarray:
     return np.where(valid, np.maximum(t_enter, 0.0), np.inf)
 
 
-def full_sweep_scan(scene: SceneGeometry, ego: Pose2D, n_beams: int, max_range: float):
+def full_sweep_scan(scene: tuple[Obstacle, ...], ego: tuple[float, float], n_beams: int, max_range: float):
     """(ranges, hits) of every beam tested against every rectangle, one
-    sweep per frame of a stacked pose or scene."""
+    sweep per frame of a stacked origin or scene."""
     bearings = 2.0 * math.pi * np.arange(n_beams) / n_beams
     dx, dy = np.cos(bearings), np.sin(bearings)
-    ox = np.asarray(ego.x, dtype=float)[..., None]
-    oy = np.asarray(ego.y, dtype=float)[..., None]
+    ox, oy = (np.asarray(c, dtype=float)[..., None] for c in ego)
     t_min = np.full(np.broadcast_shapes(ox.shape, oy.shape, dx.shape), np.inf)
-    for rect in scene.obstacles:
+    for rect in scene:
         t_min = np.minimum(t_min, _full_sweep_rectangle_t(ox, oy, dx, dy, rect))
     hits = t_min <= max_range
     return np.where(hits, t_min, max_range), hits

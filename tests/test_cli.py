@@ -562,6 +562,71 @@ def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
     assert "bad config in header: crosswalk_x must be finite" in manifest(out, command)["error"]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_positive_header_body_size_exits_2(grid_run, tmp_path, command):
+    """A zero-sized pedestrian used to pass simulate and train, then fail
+    eval's raycast as an internal error (exit 3)."""
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["ped_size"] = 0.0
+    lines[0] = json.dumps(header)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / command
+    argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
+    if command == "eval":
+        argv += ["--models", str(grid_run)]
+    assert main(argv) == 2
+    assert "bad config in header: ped_size must be positive" in manifest(out, command)["error"]
+
+
+def test_non_positive_episode_duration_exits_2(grid_run, tmp_path):
+    """A negative duration with empty columns used to read as an episode
+    without frames, whose occ_accel still held one value."""
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["scenario"]["duration"] = -0.02
+    record.update(occ_x=[], occ_speed=[], ped_y=[])
+    lines[3] = json.dumps(record)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "train"
+    assert main(["train", "--dataset", str(dataset), "--seed", "11", "--out", str(out)]) == 2
+    assert "malformed episode 2: duration must be positive" in manifest(out, "train")["error"]
+
+
+def test_train_without_a_feature_window_exits_2(tmp_path):
+    """Episodes of at most 0.2 s hold no half-second feature window: train
+    has no sample, which used to fail as an internal error (exit 3)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_range = 0.01, 0.2\n")
+    assert main(["simulate", "--episodes", "300", "--seed", "0", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "train"
+    assert main(["train", "--dataset", str(tmp_path / "dataset.jsonl"), "--config", str(cfg),
+                 "--seed", "0", "--out", str(out)]) == 2
+    assert "only 0 training samples" in manifest(out, "train")["error"]
+
+
+def test_train_skips_a_one_frame_episode(tmp_path):
+    """A one-frame training episode adds no sample; the others still train."""
+    assert main(["simulate", "--episodes", "20", "--seed", "11", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
+    train_idx, _ = split_episodes(20, 0.2, 11)
+    record = json.loads(lines[1 + train_idx[0]])
+    record["scenario"]["duration"] = 0.01
+    for name in ("occ_x", "occ_speed", "ped_y"):
+        record[name] = record[name][:1]
+    lines[1 + train_idx[0]] = json.dumps(record)
+    dataset = tmp_path / "short.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "train"
+    assert main(["train", "--dataset", str(dataset), "--seed", "11", "--out", str(out)]) == 0
+    doc = manifest(out, "train")
+    assert doc["counters"]["episodes_train"] == 4
+    assert doc["counters"]["training_samples"] >= 10
+
+
 def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     def broken_score(*args, **kwargs):
         raise RuntimeError("scoring failed")
@@ -582,6 +647,7 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("train", "train.stride = 0"),
     ("train", "train.k = 0"),
     ("train", "train.alpha = -1"),
+    ("train", "train.alpha = 0"),
     ("train", "grid.resolution = 0"),
     ("eval", "eval.stride = 0"),
     ("eval", "eval.threshold = 1.5"),
@@ -598,6 +664,9 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("train", "train.alpha = inf"),
     ("train", "sim.log_rate = inf"),
     ("train", "sim.log_rate = 15"),
+    ("train", "sim.ped_size = 0"),
+    ("train", "sim.occluder_width = -1"),
+    ("train", "sim.occluder_length = 0"),
     ("train", "sim.d0_range = 25, nan"),
     ("train", "logit.reg = inf"),
     ("train", "grid.resolution = inf"),

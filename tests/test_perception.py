@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from occlusense.grid import GridSpec, new_uniform_grid
 from occlusense.perception import (
     Obstacle,
-    Pose2D,
     Scan,
-    SceneGeometry,
     raycast_scan,
     standard_inverse_update,
     visibility_mask,
 )
 from oracles import dense_resampled_scan, full_sweep_scan, random_occlusion_scene, rule_visibility_mask
 
-ORIGIN = Pose2D(0.0, 0.0)
+ORIGIN = (0.0, 0.0)
 
 
 def unit_square(x, y, half=0.5):
@@ -49,21 +47,21 @@ def test_stacked_corners_are_each_frames_corners():
 # ---------------------------------------------------------------------------
 
 def test_empty_scene_all_misses():
-    scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=8, max_range=10.0)
+    scan = raycast_scan((), ORIGIN, n_beams=8, max_range=10.0)
     assert not scan.hits.any()
     assert np.all(scan.ranges == 10.0)
     assert scan.ranges.shape == scan.hits.shape == (8,)
 
 
 def test_unit_square_ahead_hits_at_front_face():
-    scene = SceneGeometry([unit_square(5.0, 0.0)])
+    scene = (unit_square(5.0, 0.0),)
     scan = raycast_scan(scene, ORIGIN, n_beams=360, max_range=50.0)
     assert scan.hits[0]
     assert scan.ranges[0] == pytest.approx(4.5, abs=1e-12)
 
 
 def test_obstacle_behind_ego_misses_forward_beam():
-    scene = SceneGeometry([unit_square(-5.0, 0.0)])
+    scene = (unit_square(-5.0, 0.0),)
     scan = raycast_scan(scene, ORIGIN, n_beams=360, max_range=50.0)
     assert not scan.hits[0]
     assert scan.ranges[0] == 50.0
@@ -73,7 +71,7 @@ def test_obstacle_behind_ego_misses_forward_beam():
 
 
 def test_raycast_hit_capped_at_max_range():
-    scene = SceneGeometry([unit_square(30.0, 0.0)])
+    scene = (unit_square(30.0, 0.0),)
     scan = raycast_scan(scene, ORIGIN, n_beams=4, max_range=10.0)
     assert not scan.hits[0]
     assert scan.ranges[0] == 10.0
@@ -128,18 +126,18 @@ def sweep_cases(draw):
         elif placement == "corner":
             ex, ey = corners[..., k, 0], corners[..., k, 1]
         obstacles.append(rect)
-    return SceneGeometry(obstacles), Pose2D(ex, ey), n_beams
+    return tuple(obstacles), (ex, ey), n_beams
 
 
 @settings(max_examples=400, deadline=None)
 @given(sweep_cases())
-@example((SceneGeometry([unit_square(5.0, 0.0)]), ORIGIN, 360))  # straddles bearing 0, beam 0 parallel
-@example((SceneGeometry([unit_square(0.5, 0.5)]), ORIGIN, 7))    # origin on a corner
-@example((SceneGeometry([unit_square(0.5, 0.0)]), ORIGIN, 2))    # origin on an edge
-@example((SceneGeometry([Obstacle((np.array([3.0, np.nan]), 0.0), (1.0, 1.0))]),
-          Pose2D(np.zeros(2), 0.0), 1))                           # absent in frame 1
-@example((SceneGeometry([Obstacle((3.0, np.array([0.0, np.nan])), (1.0, 1.0))]),
-          Pose2D(np.zeros(2), 0.0), 1))                           # absent as the simulator marks it: NaN y
+@example(((unit_square(5.0, 0.0),), ORIGIN, 360))  # straddles bearing 0, beam 0 parallel
+@example(((unit_square(0.5, 0.5),), ORIGIN, 7))    # origin on a corner
+@example(((unit_square(0.5, 0.0),), ORIGIN, 2))    # origin on an edge
+@example(((Obstacle((np.array([3.0, np.nan]), 0.0), (1.0, 1.0)),),
+          (np.zeros(2), 0.0), 1))                          # absent in frame 1
+@example(((Obstacle((3.0, np.array([0.0, np.nan])), (1.0, 1.0)),),
+          (np.zeros(2), 0.0), 1))                          # absent as the simulator marks it: NaN y
 def test_raycast_is_bit_identical_to_the_full_sweep(case):
     scene, ego, n_beams = case
     scan = raycast_scan(scene, ego, n_beams, 20.0)
@@ -181,13 +179,13 @@ def column_grid():
 
 
 def blocked_scan():
-    scene = SceneGeometry([unit_square(5.0, 0.0)])
+    scene = (unit_square(5.0, 0.0),)
     return raycast_scan(scene, ORIGIN, n_beams=360, max_range=50.0)
 
 
 def test_all_miss_scan_leaves_everything_visible():
     spec = GridSpec(3, 3, 1.0, origin=(5.0, 1.0), frame="world")
-    scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=50.0)
+    scan = raycast_scan((), ORIGIN, n_beams=360, max_range=50.0)
     assert not visibility_mask(scan, spec)[0].any()
 
 
@@ -198,14 +196,14 @@ def test_shadow_starts_half_cell_behind_hit():
 
 
 def test_cell_nearer_than_every_hit_is_visible():
-    scene = SceneGeometry([unit_square(10.0, 0.0)])
+    scene = (unit_square(10.0, 0.0),)
     scan = raycast_scan(scene, ORIGIN, n_beams=360, max_range=50.0)
     spec = GridSpec(3, 3, 1.0, origin=(6.0, 1.0), frame="world")
     assert not visibility_mask(scan, spec)[0].any()
 
 
 def test_beyond_max_range_is_occluded():
-    scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=5.0)
+    scan = raycast_scan((), ORIGIN, n_beams=360, max_range=5.0)
     spec = GridSpec(1, 2, 1.0, origin=(6.0, 0.0), frame="world")
     mask = visibility_mask(scan, spec)[0]
     # 6.0 > max_range, 5.0 == max_range
@@ -235,14 +233,14 @@ def test_nearest_beam_matches_argmin_over_bearings(n):
     rng = np.random.default_rng(n)
     spacing = 2.0 * math.pi / n
     for _ in range(20):
-        ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        spec = GridSpec(6, 7, 1.0, (ego.x + rng.uniform(-12, 12), ego.y + rng.uniform(-12, 12)), "world")
+        ex, ey = ego = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+        spec = GridSpec(6, 7, 1.0, (ex + rng.uniform(-12, 12), ey + rng.uniform(-12, 12)), "world")
         checked = 0
         for i in range(spec.n_cells):
             cx, cy = spec.cell_center(*spec.col_row(i))
-            if math.hypot(cx - ego.x, cy - ego.y) < 1.0:
+            if math.hypot(cx - ex, cy - ey) < 1.0:
                 continue
-            theta = math.atan2(cy - ego.y, cx - ego.x) % (2.0 * math.pi)
+            theta = math.atan2(cy - ey, cx - ex) % (2.0 * math.pi)
             frac = theta / spacing - math.floor(theta / spacing)
             if abs(frac - 0.5) < 1e-6:
                 continue  # near a midpoint the two nearest beams tie
@@ -269,14 +267,14 @@ def test_occlusion_monotone_in_obstacle_size():
     rng = np.random.default_rng(9)
     for _ in range(10):
         scene, ego, spec = random_occlusion_scene(rng)
-        if not scene.obstacles:
+        if not scene:
             continue
         prev = None
         for scale in (1.0, 1.2, 1.5):
-            grown = SceneGeometry([
+            grown = [
                 Obstacle(o.center, (o.half_extents[0] * scale, o.half_extents[1] * scale))
-                for o in scene.obstacles
-            ])
+                for o in scene
+            ]
             mask = visibility_mask(raycast_scan(grown, ego, 360, 50.0), spec)[0]
             if prev is not None:
                 assert np.all(~prev | mask)  # previously occluded -> still occluded
@@ -299,7 +297,7 @@ def test_update_moves_observed_cells_and_freezes_occluded():
 
 def test_update_free_everywhere_on_empty_scene():
     spec = GridSpec(3, 3, 1.0, origin=(5.0, 1.0), frame="world")
-    scan = raycast_scan(SceneGeometry(), ORIGIN, n_beams=360, max_range=50.0)
+    scan = raycast_scan((), ORIGIN, n_beams=360, max_range=50.0)
     updated = standard_inverse_update(new_uniform_grid(spec), *visibility_mask(scan, spec))
     assert np.all(updated.probs < 0.5)
     np.testing.assert_allclose(updated.probs, 0.2)

@@ -92,6 +92,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # too close to stop even at max braking
         ScenarioConfig(d0_range=(5.0, 45.0))
+    for name in ("occluder_length", "occluder_width", "ped_size"):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            ScenarioConfig(**{name: 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,7 @@ def test_lockstep_all_behaviors_in_one_chunk():
 
 def test_lockstep_mixed_durations_end_at_different_frames():
     scenarios = [fixed_scenario(b, duration=d, config=NOISY, noise_seed=k)
-                 for k, (b, d) in enumerate(zip(BEHAVIOR_ORDER * 2, (8.0, 5.0, 10.0, 6.3, 0.0, 9.1, 7.5, 5.5)))]
+                 for k, (b, d) in enumerate(zip(BEHAVIOR_ORDER * 2, (8.0, 5.0, 10.0, 6.3, 0.01, 9.1, 7.5, 5.5)))]
     logs = _run_lockstep(scenarios)
     assert sorted({log.n_frames for log in logs}) == [1, 151, 166, 190, 226, 241, 274, 301]
     assert_matches_reference(logs)
@@ -562,12 +565,15 @@ NAN, INF = float("nan"), float("inf")
     ("duration", NAN, "malformed episode 1: duration must be finite"),
     ("duration", INF, "malformed episode 1: duration must be finite"),
     ("t_appear", -INF, "malformed episode 1: t_appear must be finite"),
+    ("duration", 0.0, "malformed episode 1: duration must be positive"),
+    ("duration", -0.02, "malformed episode 1: duration must be positive"),
 ], ids=["occ_x", "occ_speed", "occ_x-nan", "occ_speed-inf", "occ_x--inf", "ped_y-inf", "ped_y--inf",
         "scenario.d0-nan", "scenario.ego_speed-inf", "scenario.duration-nan", "scenario.duration-inf",
-        "scenario.t_appear--inf"])
+        "scenario.t_appear--inf", "scenario.duration-zero", "scenario.duration-negative"])
 def test_read_rejects_null_outside_ped_y(tmp_path, column, value, error):
     """Stored values must be finite and only ped_y may be null (JSON's NaN
-    reads as a null does); every float of the scenario must be finite."""
+    reads as a null does); every float of the scenario must be finite, and
+    its duration positive."""
     path, (header, first, second) = write_dataset(tmp_path, 2)
     record = json.loads(second)
     if column in record["scenario"]:
