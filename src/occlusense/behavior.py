@@ -109,6 +109,8 @@ class ActionletModel:
     def from_dict(cls, d: dict) -> "ActionletModel":
         if d.get("kind") != "actionlet_model":
             raise ValueError("not an actionlet model document")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {d.get('schema_version')!r}; only {SCHEMA_VERSION} is read, re-run train")
         return cls(
             k=int(d["k"]),
             centroids=np.array(d["centroids"], dtype=float),
@@ -174,7 +176,7 @@ def _nearest_centroids(Xs: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray,
     return assign, np.einsum("md,md->m", diff, diff)
 
 
-def kmeans_fit(features, k: int = 10, max_iters: int = 100, seed: int = 0) -> ActionletModel:
+def kmeans_fit(features, k: int, *, seed: int, max_iters: int = 100) -> ActionletModel:
     """Cluster feature windows into k actionlets.
 
     Features are standardized per component (constant components get unit
@@ -276,7 +278,7 @@ class LikelihoodTable:
     spec: GridSpec
     entries: np.ndarray
     sample_counts: np.ndarray
-    alpha: float = 1.0
+    alpha: float
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=float)
@@ -320,6 +322,8 @@ class LikelihoodTable:
     def from_dict(cls, d: dict) -> "LikelihoodTable":
         if d.get("kind") != "likelihood_table":
             raise ValueError("not a likelihood table document")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {d.get('schema_version')!r}; only {SCHEMA_VERSION} is read, re-run train")
         return cls(
             spec=GridSpec.from_dict(d["spec"]),
             entries=np.array(d["entries"], dtype=float),
@@ -328,7 +332,7 @@ class LikelihoodTable:
         )
 
 
-def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: float = 1.0) -> LikelihoodTable:
+def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: float) -> LikelihoodTable:
     """Count-based estimate of p(action | cell state) with Laplace smoothing.
 
     Args:

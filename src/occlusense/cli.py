@@ -685,16 +685,16 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
         except json.JSONDecodeError as exc:
             raise DataError(f"{src}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            clip_id = str(rec["clip_id"])
-            frame, bbox, occluded = rec["frame"], rec["bbox"], rec["occluded"]
+            clip_id, frame, bbox, occluded = rec["clip_id"], rec["frame"], rec["bbox"], rec["occluded"]
             label = str(rec["action_label"])
             if type(frame) is float and frame.is_integer():
                 frame = int(frame)
-            # JSON types only: bool("false") is True, int(2.7) is 2, and a
-            # string of four digits would read as a box.
-            if type(frame) is not int or type(bbox) is not list or type(occluded) is not bool:
+            # JSON types only: bool("false") is True, int(2.7) is 2, str(None)
+            # is "None", and a string of four digits would read as a box.
+            if (type(clip_id) not in (str, int) or type(frame) is not int or type(bbox) is not list
+                    or type(occluded) is not bool):
                 raise TypeError
-            bbox = [float(v) for v in bbox]
+            clip_id, bbox = str(clip_id), [float(v) for v in bbox]
         except (KeyError, TypeError, ValueError, OverflowError):
             rejected["missing_field"] += 1
             continue
@@ -761,7 +761,9 @@ def _read_landmark_records(path: str) -> tuple:
             continue
         try:
             rec = json.loads(line)
-            occluded = rec["occluded"]
+            clip_id, occluded = rec["clip_id"], rec["occluded"]
+            if type(clip_id) is not str:  # str(None) is "None"
+                raise TypeError(f"clip_id must be a string, got {clip_id!r}")
             if type(occluded) is not bool:  # bool("false") is True
                 raise TypeError(f"occluded must be true or false, got {occluded!r}")
             x, y = float(rec["x"]), float(rec["y"])
@@ -770,7 +772,7 @@ def _read_landmark_records(path: str) -> tuple:
             label = str(rec["action"])
             if label not in codes:
                 codes[label] = action_from_label(label).value
-            rows.append((str(rec["clip_id"]), x, y, codes[label], occluded))
+            rows.append((clip_id, x, y, codes[label], occluded))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
     if not rows:
@@ -821,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser("ingest", help="convert detection annotations to landmark samples")
     add_common(p_ing)
-    p_ing.add_argument("annotations", nargs="*", help="annotation JSONL files")
+    p_ing.add_argument("annotations", nargs="+", help="annotation JSONL files")
     return parser
 
 

@@ -25,9 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Guard for divisions; denominators below this are treated as degenerate.
 DIVISION_EPS = 1e-12
 
-#: Default decision threshold for converting probabilities to a binary map.
-DEFAULT_THRESHOLD = 0.6
-
 #: Occupancy probability of a cell nobody has observed yet.
 UNIFORM_PRIOR = 0.5
 
@@ -229,7 +226,7 @@ def fuse_action(grid: OccupancyGrid, table: "LikelihoodTable", action) -> Occupa
     return OccupancyGrid(grid.spec, bayes_cell_update(grid.probs, lik_occ, lik_free))
 
 
-def threshold(grid: OccupancyGrid, tau: float = DEFAULT_THRESHOLD) -> BinaryMap:
+def threshold(grid: OccupancyGrid, tau: float) -> BinaryMap:
     """Binarize a grid: cells with probability >= tau become occupied."""
     if not (0.0 < tau < 1.0):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {tau}")

@@ -126,10 +126,13 @@ class LogitModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogitModel":
-        """Load a model document; keys other than the weights' are ignored,
-        so files that still carry a ``thresholds`` object load too."""
+        """Load a model document of ``SCHEMA_VERSION``; keys other than the
+        weights' are ignored, so files that still carry a ``thresholds``
+        object load too."""
         if d.get("kind") != "logit_model":
             raise ValueError("not a logit model document")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {d.get('schema_version')!r}; only {SCHEMA_VERSION} is read, re-run train")
         if d.get("feature_map") != FEATURE_MAP_ID:
             raise ValueError(f"unsupported feature map {d.get('feature_map')!r}")
         return cls(weights=np.array(d["weights"], dtype=float), reg=float(d["reg"]))
@@ -189,7 +192,7 @@ def loglik_gradient(weights: np.ndarray, xy: np.ndarray, labels: np.ndarray, reg
     return _gradient(weights, phi, _onehot(_label_cells(labels)), probs, reg)
 
 
-def fit_logit(xy: np.ndarray, labels: np.ndarray, reg: float = 0.01, max_iters: int = 2000) -> LogitModel:
+def fit_logit(xy: np.ndarray, labels: np.ndarray, reg: float, max_iters: int) -> LogitModel:
     """Fit the action model to (m, 2) positions and their (m,) action codes
     by damped Newton steps (IRLS) with Armijo backtracking.
 

@@ -253,7 +253,7 @@ def test_criterion_6_logit_monotone_and_gradients_check():
         for _ in range(5):
             m = int(rng.integers(30, 80))
             X, y = rng.uniform(-10, 25, size=(m, 2)), rng.integers(0, 5, size=m)
-            history = fit_logit(X, y, reg=0.05).loglik_history
+            history = fit_logit(X, y, reg=0.05, max_iters=2000).loglik_history
             assert all(later >= earlier for earlier, later in zip(history, history[1:]))
 
 

@@ -145,11 +145,11 @@ def test_kmeans_input_validation():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(4, FEATURE_DIM))
     with pytest.raises(ValueError):
-        kmeans_fit(X, k=5)
+        kmeans_fit(X, k=5, seed=0)
     with pytest.raises(ValueError):
-        kmeans_fit(X, k=0)
+        kmeans_fit(X, k=0, seed=0)
     with pytest.raises(ValueError):
-        kmeans_fit(np.zeros((4, 7)), k=2)
+        kmeans_fit(np.zeros((4, 7)), k=2, seed=0)
 
 
 def test_kmeans_accepts_feature_windows():
@@ -382,19 +382,19 @@ def test_map_dtypes_give_identical_tables():
     # about 330 occupied samples per (cell, action): more than a uint8 holds
     labels = rng.integers(0, 3, 2000)
     occupied = rng.random((2000, spec.n_cells)) < 0.5
-    tables = [estimate_likelihoods(labels, occupied.astype(dtype), spec, n_actions=4)
+    tables = [estimate_likelihoods(labels, occupied.astype(dtype), spec, n_actions=4, alpha=1.0)
               for dtype in (bool, np.uint8, np.int64)]
     assert np.array_equal(tables[0].sample_counts[:, 1], np.count_nonzero(occupied, axis=0))
     for table in tables[1:]:
         assert np.array_equal(table.entries, tables[0].entries)
         assert np.array_equal(table.sample_counts, tables[0].sample_counts)
     with pytest.raises(ValueError, match="0 or 1"):
-        estimate_likelihoods([0], np.array([[2]], dtype=np.uint8), GridSpec(1, 1), n_actions=2)
+        estimate_likelihoods([0], np.array([[2]], dtype=np.uint8), GridSpec(1, 1), n_actions=2, alpha=1.0)
 
 
 def test_likelihood_arrays_and_bounds():
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=3)
+    table = estimate_likelihoods(labels, maps, spec, n_actions=3, alpha=1.0)
     lik_occ, lik_free = table.action_likelihood_arrays(0)
     assert lik_occ[0] == table.entries[0, 0, 1]
     assert lik_free[0] == table.entries[0, 0, 0]
@@ -407,15 +407,15 @@ def test_estimation_input_validation():
     spec = GridSpec(1, 1)
     occ = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(ValueError):
-        estimate_likelihoods([5], occ, spec, n_actions=2)
+        estimate_likelihoods([5], occ, spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([0, 1], occ, spec, n_actions=2)  # one label per map
+        estimate_likelihoods([0, 1], occ, spec, n_actions=2, alpha=1.0)  # one label per map
     with pytest.raises(SpecMismatchError):
-        estimate_likelihoods([0], np.array([[1, 0]]), spec, n_actions=2)
+        estimate_likelihoods([0], np.array([[1, 0]]), spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError, match="0 or 1"):
-        estimate_likelihoods([0], np.array([[2]]), spec, n_actions=2)
+        estimate_likelihoods([0], np.array([[2]]), spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=0)
+        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=0, alpha=1.0)
     with pytest.raises(ValueError):
         estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=2, alpha=-0.5)
 
@@ -424,7 +424,7 @@ def test_table_informative_for_correlated_cell_only():
     rng = np.random.default_rng(11)
     spec = GridSpec(2, 1)
     maps = rng.integers(0, 2, size=(400, 2))
-    table = estimate_likelihoods(maps[:, 0], maps, spec, n_actions=2)  # the action is cell 0's state
+    table = estimate_likelihoods(maps[:, 0], maps, spec, n_actions=2, alpha=1.0)  # the action is cell 0's state
     fused = fuse_action(new_uniform_grid(spec), table, action=1)
     assert fused.probs[0] > 0.6          # the action encodes this cell's state
     assert abs(fused.probs[1] - 0.5) < 0.1   # independent cell stays near prior
@@ -448,7 +448,7 @@ def test_actionlet_model_json_round_trip(tmp_path):
 
 def test_likelihood_table_json_round_trip(tmp_path):
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2)
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     loaded = load_likelihood_table(str(path))
@@ -460,7 +460,7 @@ def test_likelihood_table_json_round_trip(tmp_path):
 
 def test_loaders_reject_wrong_kind(tmp_path):
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2)
+    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
 from occlusense.landmark import LogitModel, bbox_to_landmark, posterior_over_region, save_logit_model
@@ -35,15 +34,6 @@ def manifest(out: Path, command: str) -> dict:
 def write_jsonl(path: Path, records) -> Path:
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path
-
-
-# ---------------------------------------------------------------------------
-# package exports
-# ---------------------------------------------------------------------------
-
-def test_every_exported_name_resolves():
-    missing = [name for name in occlusense.__all__ if not hasattr(occlusense, name)]
-    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +136,12 @@ def test_split_validation(n, split):
 # usage and config errors
 # ---------------------------------------------------------------------------
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["train"]) == 1  # --dataset is required
+    assert main(["ingest", "--out", str(tmp_path / "out")]) == 1  # at least one annotation file
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exits_1_without_manifest(tmp_path):
@@ -425,6 +417,26 @@ def test_eval_rejects_non_finite_or_degenerate_models_with_exit_2(grid_run, tmp_
     assert error.startswith("cannot load behavior models")
     assert ("must be finite" if defect == "nan_centroid" else "must sum to 1") in error
     assert sorted(p.name for p in out.iterdir()) == ["manifest_eval.json"]
+
+
+@pytest.mark.parametrize("name", ["actionlets.json", "likelihoods.json", "logit.json"])
+def test_eval_refuses_a_model_file_of_another_schema_version(grid_run, tmp_path, name):
+    models = tmp_path / "models"
+    models.mkdir()
+    if name == "logit.json":
+        dataset, mode = landmark_dataset(tmp_path), "landmark"
+        save_logit_model(LogitModel(np.zeros((5, 4)), reg=0.01), str(models / name))
+    else:
+        dataset, mode = grid_run / "dataset.jsonl", "grid"
+        for other in ("actionlets.json", "likelihoods.json"):
+            (models / other).write_bytes((grid_run / other).read_bytes())
+    doc = json.loads((models / name).read_text())
+    doc["schema_version"] = 99
+    (models / name).write_text(json.dumps(doc))
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(dataset), "--mode", mode, "--models", str(models),
+                 "--seed", "11", "--out", str(out)]) == 2
+    assert "schema_version 99" in manifest(out, "eval")["error"]
 
 
 @pytest.mark.parametrize("region", ["full", "occluded"])
@@ -777,6 +789,10 @@ def test_ingest_invalid_json_leaves_no_partial_dataset(tmp_path):
     ("bbox", [295.0, 202.5, 50.0, 10**400]),  # no float holds it
     ("camera", {**CAMERA, "fy": math.nan}),
     ("camera", {**CAMERA, "cx": -math.inf}),
+    ("clip_id", None),  # str(None) would read as the clip "None"
+    ("clip_id", ["a"]),
+    ("clip_id", True),
+    ("clip_id", 1.5),
 ])
 def test_ingest_refuses_fields_of_the_wrong_json_type(tmp_path, field, value):
     src = tmp_path / "ann.jsonl"
@@ -793,6 +809,13 @@ def test_ingest_writes_an_integral_float_frame_as_an_integer(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", str(src), "--out", str(out)]) == 0
     assert '"frame":3,' in (out / "landmark_dataset.jsonl").read_text()
+
+
+def test_ingest_writes_an_integer_clip_id_as_its_decimal_string(tmp_path):
+    src = write_jsonl(tmp_path / "ann.jsonl", [annotation(clip_id=7)])
+    out = tmp_path / "out"
+    assert main(["ingest", str(src), "--out", str(out)]) == 0
+    assert '"clip_id":"7",' in (out / "landmark_dataset.jsonl").read_text()
 
 
 def per_record_lines(records, fallback=None) -> str:
@@ -1027,7 +1050,7 @@ def test_landmark_clip_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("defect", ["malformed_json", "missing_x", "nan_x", "infinite_y", "unknown_action",
-                                    "string_occluded"])
+                                    "string_occluded", "null_clip_id", "integer_clip_id"])
 def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     ds = landmark_dataset(tmp_path)
     lines = ds.read_text().splitlines()
@@ -1042,6 +1065,9 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
         lines[2] = json.dumps(record)  # written as NaN or Infinity, which json.loads reads
     elif defect == "unknown_action":
         record["action"] = "cartwheeling"
+        lines[2] = json.dumps(record)
+    elif defect in ("null_clip_id", "integer_clip_id"):
+        record["clip_id"] = None if defect == "null_clip_id" else 7  # ingest writes every id as a string
         lines[2] = json.dumps(record)
     else:
         record["occluded"] = "false"  # bool("false") is True

@@ -254,4 +254,4 @@ def test_binary_map_stores_uint8_and_views_bool_masks():
     assert cells.dtype == np.uint8 and cells.tolist() == [1, 0, 1]
     assert np.shares_memory(cells, mask)
     assert BinaryMap(spec, [1.0, 0.0, 1]).cells.tolist() == [1, 0, 1]
-    assert threshold(OccupancyGrid(spec, np.array([0.9, 0.1, 0.6]))).cells.dtype == np.uint8
+    assert threshold(OccupancyGrid(spec, np.array([0.9, 0.1, 0.6])), 0.6).cells.dtype == np.uint8

@@ -86,7 +86,7 @@ def test_fit_reaches_scipy_optimum():
     xy = np.column_stack((rng.uniform(0, 10, 200), rng.uniform(5, 15, 200)))
     labels = np.where(xy[:, 0] < 5.0, SemanticAction.STOPPED.value,
                       SemanticAction.MOVING_FAST.value)
-    model = fit_logit(xy, labels, reg=0.01)
+    model = fit_logit(xy, labels, reg=0.01, max_iters=2000)
 
     optimum = scipy_optimum(xy, labels, 0.01)
     # the ascent reaches the unique optimum the independent optimizer finds
@@ -103,7 +103,7 @@ def test_history_is_monotone():
     rng = np.random.default_rng(13)
     for _ in range(5):
         xy, labels = random_instance(rng, m=60)
-        model = fit_logit(xy, labels, reg=0.05)
+        model = fit_logit(xy, labels, reg=0.05, max_iters=2000)
         hist = model.loglik_history
         assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
@@ -118,7 +118,7 @@ def test_newton_fit_converges_on_unscaled_features(reg):
     labels = np.minimum((xy[:, 1] // 6).astype(np.int64), N_ACTIONS - 1)
     noisy = rng.random(m) < 0.2
     labels[noisy] = rng.integers(0, N_ACTIONS, noisy.sum())
-    model = fit_logit(xy, labels, reg=reg)
+    model = fit_logit(xy, labels, reg=reg, max_iters=2000)
     assert model.stop_reason == "tolerance"
     assert len(model.loglik_history) <= 30
     # The gradient at zero weights has norm about 2e4.  Where Newton's
@@ -213,7 +213,7 @@ def test_fit_is_bit_identical_to_row_layout(reg, max_iters, reason):
 def test_no_positional_signal_stays_uniform():
     pos = np.tile([2.0, 7.0], (25, 1))
     labels = np.repeat(np.arange(N_ACTIONS), 5)
-    model = fit_logit(pos, labels, reg=0.01)
+    model = fit_logit(pos, labels, reg=0.01, max_iters=2000)
     assert model.stop_reason == "zero_gradient"
     probs = model.predict_proba(np.array([[2.0, 7.0], [-4.0, 12.0]]))
     np.testing.assert_array_equal(probs, 0.2)
@@ -252,7 +252,7 @@ def test_fit_validation():
     ]
     for xy, labels, reg, message in cases:
         with pytest.raises(ValueError, match=message):
-            fit_logit(xy, labels, reg=reg)
+            fit_logit(xy, labels, reg=reg, max_iters=2000)
 
 
 # ---------------------------------------------------------------------------

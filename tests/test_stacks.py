@@ -82,8 +82,8 @@ def test_stack_call_equals_single_frame_calls(grid_frame):
         fused = fuse_action(base, table, labels)
         fused_frames = [fuse_action(b, table, a) for b, a in zip(bases, labels)]
         assert_rows_equal(fused.probs, [f.probs for f in fused_frames])
-        for predicted, singles in ((threshold(base), [threshold(b) for b in bases]),
-                                   (threshold(fused), [threshold(f) for f in fused_frames])):
+        for predicted, singles in ((threshold(base, 0.6), [threshold(b, 0.6) for b in bases]),
+                                   (threshold(fused, 0.6), [threshold(f, 0.6) for f in fused_frames])):
             assert_rows_equal(predicted.cells, [p.cells for p in singles])
             for mask, masks in ((None, [None] * len(frames)), (occluded, occluded)):
                 score = score_pair(predicted, truth, mask)
