@@ -27,6 +27,16 @@ MIN_LOG_RATE = 20.0
 SCHEMA_VERSION = 1
 
 
+def _median_step(times: np.ndarray):
+    """``np.median(np.diff(times))`` from the sorted steps (NaN if any step
+    is NaN), without the ``numpy.ma`` import that ``np.median`` makes."""
+    steps = np.sort(np.diff(times))  # NaN sorts last
+    mid = len(steps) // 2
+    if np.isnan(steps[-1]):
+        return steps[-1]
+    return steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2
+
+
 def extract_features(log, t) -> np.ndarray:
     """Summarize the occluder's trajectory around time ``t``.
 
@@ -45,7 +55,7 @@ def extract_features(log, t) -> np.ndarray:
     times = np.asarray(log.t, dtype=float)
     if len(times) < 2:
         raise ValueError("log too short for feature extraction")
-    dt = np.median(np.diff(times))
+    dt = _median_step(times)
     if dt > 1.0 / MIN_LOG_RATE + 1e-9:
         raise ValueError(f"log rate {1.0 / dt:.1f} Hz too slow; need >= {MIN_LOG_RATE} Hz")
     t = np.asarray(t, dtype=float)
@@ -197,14 +207,15 @@ def kmeans_fit(features, k: int, *, seed: int, max_iters: int = 100) -> Actionle
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
-    Xs = (X - mean) / scale
+    Xs = X - mean
+    Xs /= scale
 
+    diff = np.empty_like(Xs)  # (m, d) scratch of the seeding and of each assignment
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(Xs, k, rng)
+    centroids = _kmeans_pp_init(Xs, k, rng, diff)
 
     x_sq = np.einsum("md,md->m", Xs, Xs)
     dist = np.empty((m, k))
-    diff = np.empty_like(Xs)
     history: list[float] = []
     prev_assign = None
     stop_reason = "max_iters"
@@ -235,11 +246,17 @@ def kmeans_fit(features, k: int, *, seed: int, max_iters: int = 100) -> Actionle
     return ActionletModel(k, centroids, mean, scale, history, stop_reason)
 
 
-def _kmeans_pp_init(Xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(Xs: np.ndarray, k: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """k-means++ seeds; ``buf`` is an (m, d) scratch for the squared differences."""
     m = len(Xs)
     centroids = np.empty((k, Xs.shape[1]))
+
+    def sq_dist(c):
+        np.subtract(Xs, c, out=buf)
+        return np.square(buf, out=buf).sum(axis=1)
+
     centroids[0] = Xs[rng.integers(m)]
-    closest = ((Xs - centroids[0]) ** 2).sum(axis=1)
+    closest = sq_dist(centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -247,7 +264,7 @@ def _kmeans_pp_init(Xs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         else:
             idx = int(rng.choice(m, p=closest / total))
         centroids[j] = Xs[idx]
-        closest = np.minimum(closest, ((Xs - centroids[j]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, sq_dist(centroids[j]))
     return centroids
 
 
@@ -332,13 +349,15 @@ class LikelihoodTable:
         )
 
 
-def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: float) -> LikelihoodTable:
+def estimate_likelihoods(chunks, spec: GridSpec, n_actions: int, alpha: float) -> LikelihoodTable:
     """Count-based estimate of p(action | cell state) with Laplace smoothing.
 
     Args:
-        labels: ``(N,)`` actionlet index of each training sample.
-        maps: ``(N, n_cells)`` ground-truth 0/1 occupancy of each sample;
-            bool and integer maps are counted as they are, without a copy.
+        chunks: iterable of ``(labels, maps)`` pairs, read once: ``(n,)``
+            actionlet indices of n training samples and their ``(n, n_cells)``
+            ground-truth 0/1 occupancy.  Bool and integer maps are counted as
+            they are, without a copy.  The counts are int64 sums over the
+            chunks, so any split of the samples gives the same table.
         spec: layout the maps index.
         n_actions: vocabulary size (must exceed every label).
         alpha: Laplace smoothing strength; each (cell, state) distribution is
@@ -349,24 +368,26 @@ def estimate_likelihoods(labels, maps, spec: GridSpec, n_actions: int, alpha: fl
         raise ValueError("need at least one action")
     if alpha < 0.0:
         raise ValueError("smoothing strength must be nonnegative")
-    labels = np.asarray(labels, dtype=np.int64)
-    maps = np.asarray(maps)
-    if maps.dtype.kind not in "biu":
-        maps = maps.astype(np.int64)
-    if labels.ndim != 1 or maps.ndim != 2 or len(maps) != len(labels):
-        raise ValueError(f"need one label per map, got shapes {labels.shape} and {maps.shape}")
-    if np.any((labels < 0) | (labels >= n_actions)):
-        raise ValueError(f"labels outside action vocabulary of size {n_actions}")
-    if maps.shape[1] != spec.n_cells:
-        raise SpecMismatchError(f"training maps have {maps.shape[1]} cells; the table spec has {spec.n_cells}")
-
-    if maps.size and (maps.min() < 0 or maps.max() > 1):
-        raise ValueError("training maps must hold 0 or 1")
-
     # counts[c, a, i]: samples labelled a with cell i in state c.
-    counts = np.empty((2, n_actions, spec.n_cells), dtype=np.int64)
-    counts[1] = [maps[labels == a].sum(axis=0, dtype=np.int64) for a in range(n_actions)]
-    counts[0] = np.bincount(labels, minlength=n_actions)[:, None] - counts[1]
+    counts = np.zeros((2, n_actions, spec.n_cells), dtype=np.int64)
+    per_label = np.zeros(n_actions, dtype=np.int64)
+    for labels, maps in chunks:
+        labels = np.asarray(labels, dtype=np.int64)
+        maps = np.asarray(maps)
+        if maps.dtype.kind not in "biu":
+            maps = maps.astype(np.int64)
+        if labels.ndim != 1 or maps.ndim != 2 or len(maps) != len(labels):
+            raise ValueError(f"need one label per map, got shapes {labels.shape} and {maps.shape}")
+        if np.any((labels < 0) | (labels >= n_actions)):
+            raise ValueError(f"labels outside action vocabulary of size {n_actions}")
+        if maps.shape[1] != spec.n_cells:
+            raise SpecMismatchError(f"training maps have {maps.shape[1]} cells; the table spec has {spec.n_cells}")
+        if maps.size and (maps.min() < 0 or maps.max() > 1):
+            raise ValueError("training maps must hold 0 or 1")
+        for a in range(n_actions):
+            counts[1, a] += maps[labels == a].sum(axis=0, dtype=np.int64)
+        per_label += np.bincount(labels, minlength=n_actions)
+    counts[0] = per_label[:, None] - counts[1]
     sample_counts = counts.sum(axis=1)  # (2, n_cells)
     denom = sample_counts[:, None, :] + alpha * n_actions
     with np.errstate(invalid="ignore", divide="ignore"):

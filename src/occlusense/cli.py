@@ -301,6 +301,7 @@ class ManifestWriter:
             "outputs": self.outputs,
             "counters": self.counters,
             "wall_time_s": round(time.time() - self.started, 3),
+            "peak_rss_mb": _peak_rss_mb(),
         }
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"manifest_{self.command}.json"
@@ -326,6 +327,20 @@ class ManifestWriter:
         finally:
             for tmp in temps:
                 tmp.unlink(missing_ok=True)
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's own peak resident set size (``VmHWM``) in MiB, or None
+    where ``/proc`` does not report it.  ``ru_maxrss`` would not do: it
+    carries the spawning process's high-water mark across ``exec``."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 2)
+    except OSError:
+        pass
+    return None
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -371,22 +386,6 @@ def _eval_frame_indices(log, stride: int) -> np.ndarray:
     return np.arange(first, log.n_frames, stride)
 
 
-def _training_pairs(logs, template: GridSpec, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 21) feature rows and (N, n_cells) true 0/1 maps (``uint8``) over
-    the training episodes, one call per layer and episode.  An episode too
-    short for a feature window adds no row."""
-    features = [np.empty((0, 21))]
-    maps = [np.empty((0, template.n_cells), dtype=np.uint8)]
-    for log in logs:
-        frames = _eval_frame_indices(log, stride)
-        if len(frames) == 0:
-            continue
-        features.append(extract_features(log, log.t[frames]))
-        truth = ground_truth_grid(log, frames, anchored_spec_at(template, log, frames))
-        maps.append(truth.cells)
-    return np.concatenate(features), np.concatenate(maps)
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -414,8 +413,16 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
     manifest.counters["episodes_train"] = len(train_idx)
     manifest.counters["episodes_eval"] = len(eval_idx)
 
-    template = cfg.grid_template()
-    features, maps = _training_pairs((logs[i] for i in train_idx), template, cfg.train_stride)
+    # Only the (N, 21) feature rows are held at once: each episode's true
+    # maps are made after k-means and counted as they come.  An episode too
+    # short for a feature window adds no row.
+    episodes = [(logs[i], _eval_frame_indices(logs[i], cfg.train_stride)) for i in train_idx]
+    episodes = [(log, frames) for log, frames in episodes if len(frames)]
+    bounds = np.cumsum([0] + [len(frames) for _, frames in episodes])
+    rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]  # each episode's rows
+    features = np.empty((bounds[-1], 21))
+    for (log, frames), row in zip(episodes, rows):
+        features[row] = extract_features(log, log.t[frames])
     manifest.counters["training_samples"] = len(features)
     if len(features) < cfg.k_actionlets:
         raise DataError(
@@ -426,7 +433,10 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
     kmeans_seed = int(named_rng(cfg.seed, "train.kmeans").integers(2**31))
     model = kmeans_fit(features, k=cfg.k_actionlets, seed=kmeans_seed)
     labels = assign_actionlet(model, features)
-    table = estimate_likelihoods(labels, maps, template, cfg.k_actionlets, cfg.smoothing_alpha)
+    template = cfg.grid_template()
+    truth = ((labels[row], ground_truth_grid(log, frames, anchored_spec_at(template, log, frames)).cells)
+             for (log, frames), row in zip(episodes, rows))
+    table = estimate_likelihoods(truth, template, cfg.k_actionlets, cfg.smoothing_alpha)
     table.validate()
 
     with manifest.staged("actionlets.json", "likelihoods.json") as (actionlet_tmp, table_tmp):
@@ -484,7 +494,7 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             model = load_actionlet_model(str(mdir / "actionlets.json"))
             table = load_likelihood_table(str(mdir / "likelihoods.json"))
             table.validate()
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, RecursionError) as exc:
             raise DataError(f"cannot load behavior models from {models_dir}: {exc}") from exc
         if not table.spec.layout_matches(cfg.grid_template()):
             raise DataError("likelihood table layout does not match the configured grid")
@@ -563,7 +573,7 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     manifest.add_input(model_path)
     try:
         model = load_logit_model(str(model_path))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise DataError(f"cannot load logit model: {exc}") from exc
 
     clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
@@ -638,10 +648,7 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     with manifest.staged("landmark_dataset.jsonl") as (tmp,), open(tmp, "w") as fh:
         for src in annotations:
             manifest.add_input(src)
-            try:
-                lines = Path(src).read_text().splitlines()
-            except OSError as exc:
-                raise DataError(f"cannot read annotations {src}: {exc}") from exc
+            lines = _text_lines(src, "annotations")
             for start in range(0, len(lines), INGEST_CHUNK):
                 text, count = _ingest_chunk(src, lines, start, cfg.camera_fallback, rejected, action_json)
                 fh.write(text)
@@ -682,7 +689,7 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an integer too long
             raise DataError(f"{src}:{lineno}: invalid JSON: {exc}") from exc
         try:
             clip_id, frame, bbox, occluded = rec["clip_id"], rec["frame"], rec["bbox"], rec["occluded"]
@@ -743,6 +750,19 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
     return text, int(np.count_nonzero(ok))
 
 
+def _text_lines(path: str, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable file, or a byte that is
+    not UTF-8 (named by its ``path:line``), is a :class:`DataError`."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode() + "x").splitlines())  # the line the bad byte is on
+        raise DataError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+
+
 def _read_landmark_records(path: str) -> tuple:
     """The landmark dataset as columns, in file order.
 
@@ -750,10 +770,7 @@ def _read_landmark_records(path: str) -> tuple:
     the (m, 2) positions, the (m,) int64 action codes and the (m,) occluded
     mask.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read landmark dataset {path}: {exc}") from exc
+    lines = _text_lines(path, "landmark dataset")
     rows = []
     codes: dict[str, int] = {}  # each label's action code
     for lineno, line in enumerate(lines, start=1):
@@ -773,7 +790,7 @@ def _read_landmark_records(path: str) -> tuple:
             if label not in codes:
                 codes[label] = action_from_label(label).value
             rows.append((clip_id, x, y, codes[label], occluded))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no landmark records")

@@ -499,11 +499,11 @@ def read_episodes(path: str) -> list[EpisodeLog]:
     header = None
     logs: list[EpisodeLog] = []
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    rec = json.loads(line.decode())
+                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep or long
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if header is None:
                     header, config = rec, _header_config(path, rec)

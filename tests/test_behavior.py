@@ -2,6 +2,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occlusense import behavior
 from occlusense.behavior import (
@@ -77,6 +79,19 @@ def test_window_coverage_errors():
 def test_slow_log_rejected():
     with pytest.raises(ValueError, match="Hz"):
         extract_features(linear_log(rate=10.0), t=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, 0.05, 0.1])), min_size=2, max_size=9))
+@example([0.0, 0.05, 0.1, 0.2])
+@example([0.0, 0.05, float("nan")])
+def test_log_step_is_the_numpy_median(times):
+    """The step that sets the log rate is ``np.median(np.diff(t))``, which
+    imports ``numpy.ma`` on its first call; NaN steps give NaN."""
+    times = np.array(times)
+    with np.errstate(all="ignore"):
+        want, got = np.median(np.diff(times)), behavior._median_step(times)
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +351,7 @@ def one_cell_samples(n_occ_a0=10, n_occ_a1=8):
 
 def test_laplace_smoothing_hand_case():
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=2, alpha=1.0)
     # entries[cell, action, occupancy]
     assert table.entries[0, 0, 1] == pytest.approx(11.0 / 20.0)
     assert table.entries[0, 1, 1] == pytest.approx(9.0 / 20.0)
@@ -349,7 +364,7 @@ def test_laplace_smoothing_hand_case():
 
 def test_alpha_zero_gives_exact_frequencies():
     spec, labels, maps = one_cell_samples(4, 1)
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=0.0)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=2, alpha=0.0)
     assert table.entries[0, 0, 1] == 0.8
     assert table.entries[0, 1, 1] == 0.2
     # unobserved state falls back to uniform rather than 0/0
@@ -363,7 +378,7 @@ def test_counts_match_a_per_sample_tally(alpha):
     labels = rng.choice([0, 1, 3], size=200)  # action 2 never occurs
     maps = (rng.random((200, spec.n_cells)) < 0.3).astype(np.int64)
     maps[:, 5] = 1  # one cell never free
-    table = estimate_likelihoods(labels, maps, spec, n_actions=4, alpha=alpha)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=4, alpha=alpha)
     counts = np.zeros((spec.n_cells, 4, 2), dtype=np.int64)
     for label, cells in zip(labels, maps):
         counts[np.arange(spec.n_cells), label, cells] += 1
@@ -376,25 +391,44 @@ def test_counts_match_a_per_sample_tally(alpha):
             assert np.array_equal(table.entries[i, :, c], want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_chunking_gives_the_one_chunk_table(data):
+    """The counts are integer sums over the chunks, so any split of the
+    samples, empty chunks included, gives the bits of one chunk."""
+    n, n_cells, k = data.draw(st.integers(0, 30)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    cells = st.lists(st.booleans(), min_size=n_cells, max_size=n_cells)
+    maps = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.uint8).reshape(n, n_cells)
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=6))), n]
+    alpha = data.draw(st.sampled_from([0.0, 0.37, 1.0]))
+    spec = GridSpec(n_cells, 1)
+    one = estimate_likelihoods([(labels, maps)], spec, n_actions=k, alpha=alpha)
+    chunks = ((labels[lo:hi], maps[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    many = estimate_likelihoods(chunks, spec, n_actions=k, alpha=alpha)
+    assert many.entries.tobytes() == one.entries.tobytes()
+    assert many.sample_counts.tobytes() == one.sample_counts.tobytes()
+
+
 def test_map_dtypes_give_identical_tables():
     rng = np.random.default_rng(13)
     spec = GridSpec(3, 4)
     # about 330 occupied samples per (cell, action): more than a uint8 holds
     labels = rng.integers(0, 3, 2000)
     occupied = rng.random((2000, spec.n_cells)) < 0.5
-    tables = [estimate_likelihoods(labels, occupied.astype(dtype), spec, n_actions=4, alpha=1.0)
+    tables = [estimate_likelihoods([(labels, occupied.astype(dtype))], spec, n_actions=4, alpha=1.0)
               for dtype in (bool, np.uint8, np.int64)]
     assert np.array_equal(tables[0].sample_counts[:, 1], np.count_nonzero(occupied, axis=0))
     for table in tables[1:]:
         assert np.array_equal(table.entries, tables[0].entries)
         assert np.array_equal(table.sample_counts, tables[0].sample_counts)
     with pytest.raises(ValueError, match="0 or 1"):
-        estimate_likelihoods([0], np.array([[2]], dtype=np.uint8), GridSpec(1, 1), n_actions=2, alpha=1.0)
+        estimate_likelihoods([([0], np.array([[2]], dtype=np.uint8))], GridSpec(1, 1), n_actions=2, alpha=1.0)
 
 
 def test_likelihood_arrays_and_bounds():
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=3, alpha=1.0)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=3, alpha=1.0)
     lik_occ, lik_free = table.action_likelihood_arrays(0)
     assert lik_occ[0] == table.entries[0, 0, 1]
     assert lik_free[0] == table.entries[0, 0, 0]
@@ -407,24 +441,24 @@ def test_estimation_input_validation():
     spec = GridSpec(1, 1)
     occ = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(ValueError):
-        estimate_likelihoods([5], occ, spec, n_actions=2, alpha=1.0)
+        estimate_likelihoods([([5], occ)], spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([0, 1], occ, spec, n_actions=2, alpha=1.0)  # one label per map
+        estimate_likelihoods([([0, 1], occ)], spec, n_actions=2, alpha=1.0)  # one label per map
     with pytest.raises(SpecMismatchError):
-        estimate_likelihoods([0], np.array([[1, 0]]), spec, n_actions=2, alpha=1.0)
+        estimate_likelihoods([([0], np.array([[1, 0]]))], spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError, match="0 or 1"):
-        estimate_likelihoods([0], np.array([[2]]), spec, n_actions=2, alpha=1.0)
+        estimate_likelihoods([([0], np.array([[2]]))], spec, n_actions=2, alpha=1.0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=0, alpha=1.0)
+        estimate_likelihoods([([], np.empty((0, 1)))], spec, n_actions=0, alpha=1.0)
     with pytest.raises(ValueError):
-        estimate_likelihoods([], np.empty((0, 1)), spec, n_actions=2, alpha=-0.5)
+        estimate_likelihoods([([], np.empty((0, 1)))], spec, n_actions=2, alpha=-0.5)
 
 
 def test_table_informative_for_correlated_cell_only():
     rng = np.random.default_rng(11)
     spec = GridSpec(2, 1)
     maps = rng.integers(0, 2, size=(400, 2))
-    table = estimate_likelihoods(maps[:, 0], maps, spec, n_actions=2, alpha=1.0)  # the action is cell 0's state
+    table = estimate_likelihoods([(maps[:, 0], maps)], spec, n_actions=2, alpha=1.0)  # the action is cell 0's state
     fused = fuse_action(new_uniform_grid(spec), table, action=1)
     assert fused.probs[0] > 0.6          # the action encodes this cell's state
     assert abs(fused.probs[1] - 0.5) < 0.1   # independent cell stays near prior
@@ -448,7 +482,7 @@ def test_actionlet_model_json_round_trip(tmp_path):
 
 def test_likelihood_table_json_round_trip(tmp_path):
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=2, alpha=1.0)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     loaded = load_likelihood_table(str(path))
@@ -460,7 +494,7 @@ def test_likelihood_table_json_round_trip(tmp_path):
 
 def test_loaders_reject_wrong_kind(tmp_path):
     spec, labels, maps = one_cell_samples()
-    table = estimate_likelihoods(labels, maps, spec, n_actions=2, alpha=1.0)
+    table = estimate_likelihoods([(labels, maps)], spec, n_actions=2, alpha=1.0)
     path = tmp_path / "likelihoods.json"
     save_model_json(table, str(path))
     with pytest.raises(ValueError):

@@ -9,11 +9,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occlusense
 from occlusense.cli import config_from_mapping, main, parse_flat_config, split_episodes
 from occlusense.errors import ConfigError
 from occlusense.landmark import LogitModel, bbox_to_landmark, posterior_over_region, save_logit_model
@@ -230,6 +236,39 @@ def test_train_grid_outputs(grid_run):
         assert doc["outputs"][name] == sha256(grid_run / name)
 
 
+def test_train_grid_holds_no_stack_of_training_maps(tmp_path):
+    """At 0.125 m the (N, n_cells) uint8 stack of training maps is 16 times
+    the (N, 21) float feature rows; train counts each episode's maps as it
+    makes them, so its traced peak stays below that stack.  Holding the
+    stack, plus the list it was joined from, peaked at about 19 MB here."""
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("grid.width = 48\ngrid.height = 56\ngrid.resolution = 0.125\ntrain.split = 0.8\n")
+    common = ["--config", str(cfg), "--seed", "5", "--out", str(tmp_path)]
+    assert main(["simulate", "--episodes", "20", *common]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["train", "--dataset", str(tmp_path / "dataset.jsonl"), *common]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = manifest(tmp_path, "train")["counters"]["training_samples"]
+    stack = n * 48 * 56
+    assert stack >= 10 * n * 21 * 8
+    assert peak < stack
+
+
+def test_eval_imports_no_numpy_ma(grid_run, tmp_path):
+    """``np.median`` imports ``numpy.ma`` (about 14 ms and 1 MB per process);
+    no grid stage needs it."""
+    argv = ["eval", "--dataset", str(grid_run / "dataset.jsonl"), "--models", str(grid_run),
+            "--seed", "11", "--out", str(tmp_path)]
+    code = ("import sys; from occlusense.cli import main; "
+            f"assert main({argv!r}) == 0; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(occlusense.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_train_missing_dataset_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 2
@@ -437,6 +476,23 @@ def test_eval_refuses_a_model_file_of_another_schema_version(grid_run, tmp_path,
     assert main(["eval", "--dataset", str(dataset), "--mode", mode, "--models", str(models),
                  "--seed", "11", "--out", str(out)]) == 2
     assert "schema_version 99" in manifest(out, "eval")["error"]
+
+
+@pytest.mark.parametrize("name", ["likelihoods.json", "logit.json"])
+def test_eval_deeply_nested_model_file_exits_2(grid_run, tmp_path, name):
+    """``json.load`` raises RecursionError, which the loaders let through (exit 3)."""
+    models = tmp_path / "models"
+    models.mkdir()
+    if name == "logit.json":
+        dataset, mode = landmark_dataset(tmp_path), "landmark"
+    else:
+        dataset, mode = grid_run / "dataset.jsonl", "grid"
+        (models / "actionlets.json").write_bytes((grid_run / "actionlets.json").read_bytes())
+    (models / name).write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "eval"
+    assert main(["eval", "--dataset", str(dataset), "--mode", mode, "--models", str(models),
+                 "--seed", "11", "--out", str(out)]) == 2
+    assert "cannot load" in manifest(out, "eval")["error"]
 
 
 @pytest.mark.parametrize("region", ["full", "occluded"])
@@ -1082,6 +1138,44 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
         argv += ["--models", str(models)]
     assert main(argv) == 2
     assert f"{ds}:3: bad landmark record" in manifest(out, command)["error"]
+
+
+def undecodable(line: str, defect: str, int_field: str) -> bytes:
+    """``line`` spoilt by one decode failure: a Latin-1 byte, 200,000 nested
+    arrays, or ``int_field`` holding an integer of 5,000 digits (beyond
+    Python's 4,300-digit conversion limit)."""
+    if defect == "latin1":
+        return line.replace('"', '"caf\u00e9', 1).encode("latin-1")
+    if defect == "deep":
+        return ("[" * 200_000 + "]" * 200_000).encode()
+    return re.sub(rf'("{int_field}": ?)\d+', rf"\g<1>{'9' * 5000}", line, count=1).encode()
+
+
+@pytest.mark.parametrize("reader,defect", [
+    ("dataset", "latin1"), ("dataset", "deep"), ("dataset", "long_int"),
+    ("annotations", "latin1"), ("annotations", "deep"), ("annotations", "long_int"),
+    ("landmark_dataset", "latin1"), ("landmark_dataset", "deep"),
+])
+def test_undecodable_input_line_exits_2_naming_it(grid_run, tmp_path, reader, defect):
+    """Each exited 3: the text reader raised UnicodeDecodeError, and
+    ``json.loads`` RecursionError, or a ValueError that is no JSONDecodeError
+    for the long integer."""
+    if reader == "dataset":
+        lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+        field, argv = "index", ["train", "--dataset"]
+    elif reader == "annotations":
+        lines = [json.dumps(annotation(frame=i)) for i in range(4)]
+        field, argv = "frame", ["ingest"]
+    else:
+        lines = landmark_dataset(tmp_path).read_text().splitlines()
+        field, argv = "frame", ["train", "--mode", "landmark", "--dataset"]
+    data = [line.encode() for line in lines]
+    data[2] = undecodable(lines[2], defect, field)
+    path = tmp_path / f"{reader}.jsonl"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "--out", str(out)]) == 2
+    assert f"{path}:3: " in manifest(out, argv[0])["error"]
 
 
 def test_eval_landmark_non_finite_weight_exits_2(tmp_path):
