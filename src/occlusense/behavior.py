@@ -355,8 +355,8 @@ def estimate_likelihoods(chunks, spec: GridSpec, n_actions: int, alpha: float) -
     Args:
         chunks: iterable of ``(labels, maps)`` pairs, read once: ``(n,)``
             actionlet indices of n training samples and their ``(n, n_cells)``
-            ground-truth 0/1 occupancy.  Bool and integer maps are counted as
-            they are, without a copy.  The counts are int64 sums over the
+            ground-truth 0/1 occupancy, as bool or integer arrays, counted as
+            they are without a copy.  The counts are int64 sums over the
             chunks, so any split of the samples gives the same table.
         spec: layout the maps index.
         n_actions: vocabulary size (must exceed every label).
@@ -374,8 +374,8 @@ def estimate_likelihoods(chunks, spec: GridSpec, n_actions: int, alpha: float) -
     for labels, maps in chunks:
         labels = np.asarray(labels, dtype=np.int64)
         maps = np.asarray(maps)
-        if maps.dtype.kind not in "biu":
-            maps = maps.astype(np.int64)
+        if maps.dtype.kind not in "biu":  # a cast would count 0.5 as free and 1.7 as occupied
+            raise ValueError(f"training maps must be bool or integer arrays, got {maps.dtype}")
         if labels.ndim != 1 or maps.ndim != 2 or len(maps) != len(labels):
             raise ValueError(f"need one label per map, got shapes {labels.shape} and {maps.shape}")
         if np.any((labels < 0) | (labels >= n_actions)):

@@ -23,7 +23,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, cycle, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .behavior import (
     load_likelihood_table,
     save_model_json,
 )
-from .errors import ConfigError, DataError
+from .errors import MALFORMED, ConfigError, DataError
 from .grid import GridSpec, fuse_action, new_uniform_grid, threshold
 from .landmark import (
     CameraModel,
@@ -66,7 +66,7 @@ from .simulator import (
 )
 
 EVAL_METHODS = ("standard", "fused", "truth")
-#: Annotation lines per chunk of :func:`cmd_ingest`.
+#: Annotation records per chunk of :func:`cmd_ingest`.
 INGEST_CHUNK = 4096
 
 
@@ -429,6 +429,9 @@ def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> 
             f"only {len(features)} training samples for k={cfg.k_actionlets} actionlets; "
             "need more episodes or a smaller stride"
         )
+    # k-means scales the rows by their spread, which overflows on huge values (a crosswalk at 1e308).
+    if not np.isfinite(features.std(axis=0)).all():
+        raise DataError("the training feature windows overflow: a position or speed in the dataset is out of range")
 
     kmeans_seed = int(named_rng(cfg.seed, "train.kmeans").integers(2**31))
     model = kmeans_fit(features, k=cfg.k_actionlets, seed=kmeans_seed)
@@ -494,7 +497,7 @@ def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, mode
             model = load_actionlet_model(str(mdir / "actionlets.json"))
             table = load_likelihood_table(str(mdir / "likelihoods.json"))
             table.validate()
-        except (OSError, ValueError, KeyError, RecursionError) as exc:
+        except (OSError, *MALFORMED) as exc:
             raise DataError(f"cannot load behavior models from {models_dir}: {exc}") from exc
         if not table.spec.layout_matches(cfg.grid_template()):
             raise DataError("likelihood table layout does not match the configured grid")
@@ -573,7 +576,7 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     manifest.add_input(model_path)
     try:
         model = load_logit_model(str(model_path))
-    except (OSError, ValueError, KeyError, RecursionError) as exc:
+    except (OSError, *MALFORMED) as exc:
         raise DataError(f"cannot load logit model: {exc}") from exc
 
     clips, clip, xy, actions, occluded = _read_landmark_records(dataset)
@@ -590,8 +593,11 @@ def _eval_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, 
     for action in SemanticAction:
         scored = (truth >= 0) & (observed == action.value)
         if scored.any():
-            masses[action] = posterior_mass_at_truth(posterior_over_region(model, region, action),
-                                                     truth[scored])
+            try:  # a model whose scores overflow, or that never predicts the action
+                posterior = posterior_over_region(model, region, action)
+            except ArithmeticError as exc:
+                raise DataError(f"logit model gives no posterior for {action.name.lower()}: {exc}") from exc
+            masses[action] = posterior_mass_at_truth(posterior, truth[scored])
     evaluated = sum(map(len, masses.values()))
     if evaluated == 0:
         raise DataError("no occluded samples inside the candidate region to evaluate")
@@ -636,9 +642,9 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     Input records are JSON lines with clip_id, frame, bbox [x, y, w, h],
     action_label, optional camera intrinsics (falling back to the config's
     camera) and an occluded flag.  Records missing required fields or whose
-    box cannot intersect the ground plane are counted and skipped.  Each
-    file's lines are converted in chunks of ``INGEST_CHUNK``, which bounds
-    the parsed records and output text held at once.
+    box cannot intersect the ground plane are counted and skipped.  Files
+    are read and parsed one line at a time and converted in chunks of
+    ``INGEST_CHUNK`` records, which bounds the boxes and output text held.
     """
     accepted = 0
     rejected: dict[str, int] = {"missing_field": 0, "bad_action": 0, "horizon": 0, "bad_bbox": 0}
@@ -648,9 +654,10 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
     with manifest.staged("landmark_dataset.jsonl") as (tmp,), open(tmp, "w") as fh:
         for src in annotations:
             manifest.add_input(src)
-            lines = _text_lines(src, "annotations")
-            for start in range(0, len(lines), INGEST_CHUNK):
-                text, count = _ingest_chunk(src, lines, start, cfg.camera_fallback, rejected, action_json)
+            records = _json_lines(src, "annotations")
+            for first in records:  # a chunk: this record and the next INGEST_CHUNK - 1, parsed as used
+                chunk = chain([first], islice(records, INGEST_CHUNK - 1))
+                text, count = _ingest_chunk(chunk, cfg.camera_fallback, rejected, action_json)
                 fh.write(text)
                 accepted += count
 
@@ -661,10 +668,10 @@ def cmd_ingest(cfg: PipelineConfig, manifest: ManifestWriter, annotations: list[
           f"{manifest.out_dir / 'landmark_dataset.jsonl'}")
 
 
-def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: CameraModel | None,
+def _ingest_chunk(chunk, camera_fallback: CameraModel | None,
                   rejected: dict[str, int], action_json: dict[str, str | None]) -> tuple[str, int]:
-    """Landmark lines of the annotation lines ``lines[start:start + INGEST_CHUNK]``
-    and their count.
+    """Landmark lines of an iterator over a chunk of :func:`_json_lines`'
+    annotation records, and their count.
 
     Each record's fields are checked in turn, in the order that decides
     its rejection reason; ``rejected`` counts the reasons.  The boxes
@@ -684,13 +691,7 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
     rows_of: dict[CameraModel, list[int]] = {}  # each camera's rows of ``boxes``
     if camera_fallback is not None:
         fallback_rows = rows_of[camera_fallback] = []
-    for lineno, line in enumerate(lines[start:start + INGEST_CHUNK], start=start + 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an integer too long
-            raise DataError(f"{src}:{lineno}: invalid JSON: {exc}") from exc
+    for _, rec in chunk:
         try:
             clip_id, frame, bbox, occluded = rec["clip_id"], rec["frame"], rec["bbox"], rec["occluded"]
             label = str(rec["action_label"])
@@ -702,7 +703,7 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
                     or type(occluded) is not bool):
                 raise TypeError
             clip_id, bbox = str(clip_id), [float(v) for v in bbox]
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except MALFORMED:
             rejected["missing_field"] += 1
             continue
         if len(bbox) != 4:
@@ -713,7 +714,7 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
                 cam = rec["camera"]
                 camera = CameraModel(float(cam["fx"]), float(cam["fy"]), float(cam["cx"]),
                                      float(cam["cy"]), float(cam["height_m"]))
-            except (KeyError, TypeError, ValueError, OverflowError):
+            except MALFORMED:
                 rejected["missing_field"] += 1
                 continue
             rows = rows_of.setdefault(camera, [])
@@ -750,17 +751,23 @@ def _ingest_chunk(src: str, lines: list[str], start: int, camera_fallback: Camer
     return text, int(np.count_nonzero(ok))
 
 
-def _text_lines(path: str, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable file, or a byte that is
-    not UTF-8 (named by its ``path:line``), is a :class:`DataError`."""
+def _json_lines(path: str, what: str):
+    """Yield ``(lineno, record)`` of each line of a JSON-lines file, read one
+    line at a time; whitespace-only lines are skipped.  An unreadable file, or
+    a line that is not UTF-8 or not JSON (named by its ``path:line``), is a
+    :class:`DataError`, by the rules of ``simulator.read_episodes``."""
     try:
-        data = Path(path).read_bytes()
-        return data.decode().splitlines()
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if (text := line.decode()).isspace():
+                        continue
+                    rec = json.loads(text)
+                except MALFORMED as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield lineno, rec
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start].decode() + "x").splitlines())  # the line the bad byte is on
-        raise DataError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
 
 
 def _read_landmark_records(path: str) -> tuple:
@@ -770,14 +777,10 @@ def _read_landmark_records(path: str) -> tuple:
     the (m, 2) positions, the (m,) int64 action codes and the (m,) occluded
     mask.
     """
-    lines = _text_lines(path, "landmark dataset")
     rows = []
     codes: dict[str, int] = {}  # each label's action code
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, rec in _json_lines(path, "landmark dataset"):
         try:
-            rec = json.loads(line)
             clip_id, occluded = rec["clip_id"], rec["occluded"]
             if type(clip_id) is not str:  # str(None) is "None"
                 raise TypeError(f"clip_id must be a string, got {clip_id!r}")
@@ -790,7 +793,7 @@ def _read_landmark_records(path: str) -> tuple:
             if label not in codes:
                 codes[label] = action_from_label(label).value
             rows.append((clip_id, x, y, codes[label], occluded))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except MALFORMED as exc:
             raise DataError(f"{path}:{lineno}: bad landmark record: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no landmark records")

@@ -16,3 +16,9 @@ class DataError(Exception):
 
 class SpecMismatchError(ValueError):
     """Two grid-shaped objects do not share a compatible layout."""
+
+
+#: What decoding a JSON record, or converting and checking its values, raises
+#: when the record is malformed.  Every reader catches this one set around
+#: each record, and only there, and raises :class:`DataError` (exit 2).
+MALFORMED = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, RecursionError, ConfigError)

@@ -68,23 +68,6 @@ class GridSpec:
     def n_cells(self) -> int:
         return self.width_cells * self.height_cells
 
-    def index(self, col: int, row: int) -> int:
-        """Flat index of cell (col, row)."""
-        if not (0 <= col < self.width_cells and 0 <= row < self.height_cells):
-            raise IndexError(f"cell ({col}, {row}) outside {self.width_cells}x{self.height_cells} grid")
-        return row * self.width_cells + col
-
-    def col_row(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not (0 <= index < self.n_cells):
-            raise IndexError(f"index {index} outside grid with {self.n_cells} cells")
-        return index % self.width_cells, index // self.width_cells
-
-    def cell_center(self, col: int, row: int) -> tuple[float, float]:
-        """World position of a cell center (rows step along -x, columns along -y)."""
-        ox, oy = self.origin
-        return ox - row * self.resolution, oy - col * self.resolution
-
     def cell_centers(self) -> np.ndarray:
         """(n_cells, 2) cell-center positions in flat-index order, or
         (F, n_cells, 2) for a spec with one origin per frame."""

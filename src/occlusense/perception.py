@@ -46,14 +46,6 @@ class Obstacle:
         if self.half_extents[0] <= 0.0 or self.half_extents[1] <= 0.0:
             raise ValueError(f"half extents must be positive, got {self.half_extents}")
 
-    def corners(self) -> np.ndarray:
-        """(4, 2) corner positions, counter-clockwise; (F, 4, 2) for (F,)
-        center coordinates."""
-        hx, hy = self.half_extents
-        local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
-        center = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in self.center)), axis=-1)
-        return local + center[..., None, :]
-
 
 @dataclass
 class Scan:

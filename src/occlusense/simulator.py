@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .behavior import MIN_LOG_RATE
-from .errors import ConfigError, DataError
+from .errors import MALFORMED, ConfigError, DataError
 from .grid import BinaryMap, GridSpec
 from .perception import Obstacle
 from .seeds import named_seed_sequence
@@ -494,7 +494,7 @@ def read_episodes(path: str) -> list[EpisodeLog]:
     ``n_episodes`` episodes, indexed 0 to n - 1 in order, each with the
     frame count its duration implies at the log rate in every column, so a
     file cut anywhere is rejected.  Every stored value and every scenario
-    float must be finite; only ``ped_y`` may be null.
+    float must be finite; only ``ped_y`` may be null.  Blank lines are skipped.
     """
     header = None
     logs: list[EpisodeLog] = []
@@ -502,8 +502,10 @@ def read_episodes(path: str) -> list[EpisodeLog]:
         with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    rec = json.loads(line.decode())
-                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep or long
+                    if (text := line.decode()).isspace():
+                        continue
+                    rec = json.loads(text)
+                except MALFORMED as exc:
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if header is None:
                     header, config = rec, _header_config(path, rec)
@@ -528,7 +530,7 @@ def _header_config(path: str, header) -> ScenarioConfig:
     try:
         return ScenarioConfig(**{key: tuple(value) if key in _TUPLE_FIELDS else value
                                  for key, value in header["config"].items()})
-    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+    except MALFORMED as exc:
         raise DataError(f"{path}: bad config in header: {exc}") from exc
 
 
@@ -548,13 +550,14 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
             noise_seed=int(sc["noise_seed"]),
             config=config,
         )
+        n_frames = scenario.n_frames  # overflows for a duration or log rate near 1e308
         columns = {name: np.array(rec[name], dtype=float) for name in _COLUMNS}
-    except (KeyError, ValueError, TypeError, ConfigError) as exc:
+    except MALFORMED as exc:
         raise DataError(f"{path}: malformed episode {index}: {exc}") from exc
     for name, values in columns.items():
-        if values.shape != (scenario.n_frames,):
+        if values.shape != (n_frames,):
             raise DataError(f"{path}: episode {index} has {values.size} {name} values; "
-                            f"its duration needs {scenario.n_frames} frames")
+                            f"its duration needs {n_frames} frames")
         # Only ped_y may be null (pedestrian absent); null reads as NaN.
         bad = np.isinf(values) if name == "ped_y" else ~np.isfinite(values)
         if bad.any():

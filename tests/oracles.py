@@ -15,6 +15,39 @@ from occlusense.perception import Obstacle
 
 
 # ---------------------------------------------------------------------------
+# Cell addressing and rectangle corners, one value at a time.
+# ---------------------------------------------------------------------------
+
+def cell_index(spec: GridSpec, col: int, row: int) -> int:
+    """Flat index of cell (col, row): cells are stored row-major."""
+    if not (0 <= col < spec.width_cells and 0 <= row < spec.height_cells):
+        raise IndexError(f"cell ({col}, {row}) outside {spec.width_cells}x{spec.height_cells} grid")
+    return row * spec.width_cells + col
+
+
+def col_row(spec: GridSpec, index: int) -> tuple[int, int]:
+    """Inverse of :func:`cell_index`."""
+    if not (0 <= index < spec.n_cells):
+        raise IndexError(f"index {index} outside grid with {spec.n_cells} cells")
+    return index % spec.width_cells, index // spec.width_cells
+
+
+def cell_center(spec: GridSpec, col: int, row: int) -> tuple[float, float]:
+    """World position of a cell center (rows step along -x, columns along -y)."""
+    ox, oy = spec.origin
+    return ox - row * spec.resolution, oy - col * spec.resolution
+
+
+def obstacle_corners(rect: Obstacle) -> np.ndarray:
+    """(4, 2) corner positions, counter-clockwise; (F, 4, 2) for (F,)
+    center coordinates."""
+    hx, hy = rect.half_extents
+    local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
+    center = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in rect.center)), axis=-1)
+    return local + center[..., None, :]
+
+
+# ---------------------------------------------------------------------------
 # Bayes fusion by full enumeration.
 # ---------------------------------------------------------------------------
 
@@ -55,8 +88,8 @@ def enumeration_prior_check(grid, n_probes: int, rng: np.random.Generator) -> No
 def brute_force_directed(a: BinaryMap, b: BinaryMap, c: int, mask=None) -> float:
     spec = a.spec
     included = [mask is None or bool(mask[i]) for i in range(spec.n_cells)]
-    src = [spec.col_row(i) for i in range(spec.n_cells) if a.cells[i] == c and included[i]]
-    dst = [spec.col_row(j) for j in range(spec.n_cells) if b.cells[j] == c and included[j]]
+    src = [col_row(spec, i) for i in range(spec.n_cells) if a.cells[i] == c and included[i]]
+    dst = [col_row(spec, j) for j in range(spec.n_cells) if b.cells[j] == c and included[j]]
     if not src:
         return 0.0
     diameter = float(spec.width_cells + spec.height_cells)
@@ -104,7 +137,7 @@ def dense_ray_range(scene: tuple[Obstacle, ...], ego: tuple[float, float], beari
     dy = math.sin(bearing)
     best = math.inf
     for obs in scene:
-        corners = obs.corners()
+        corners = obstacle_corners(obs)
         for i in range(4):
             ax, ay = corners[i]
             bx, by = corners[(i + 1) % 4]
@@ -140,7 +173,7 @@ def dense_resampled_scan(scene: tuple[Obstacle, ...], ego: tuple[float, float], 
 
 def cell_sensor_geometry(spec: GridSpec, ego: tuple[float, float], col: int, row: int):
     """(range, bearing in [0, 2pi)) of a cell center, by scalar math."""
-    cx, cy = spec.cell_center(col, row)
+    cx, cy = cell_center(spec, col, row)
     sx, sy = cx - ego[0], cy - ego[1]
     return math.sqrt(sx * sx + sy * sy), math.atan2(sy, sx) % (2.0 * math.pi)
 
@@ -159,7 +192,7 @@ def rule_visibility_mask(spec: GridSpec, ego: tuple[float, float], coarse: dict,
                 occluded = r_cell > coarse["ranges"][idx] + res / 2.0
             else:
                 occluded = r_cell > max_range
-            out[spec.index(col, row)] = occluded
+            out[cell_index(spec, col, row)] = occluded
     return out
 
 

@@ -454,6 +454,14 @@ def test_estimation_input_validation():
         estimate_likelihoods([([], np.empty((0, 1)))], spec, n_actions=2, alpha=-0.5)
 
 
+@pytest.mark.parametrize("value", [0.5, 0.9, 1.7])
+def test_float_maps_are_refused_not_truncated(value):
+    """A cast to integers counted 0.5 and 0.9 as free and 1.7 as occupied."""
+    maps = np.array([[0.0, value]])
+    with pytest.raises(ValueError, match="bool or integer"):
+        estimate_likelihoods([([0], maps)], GridSpec(2, 1), n_actions=2, alpha=1.0)
+
+
 def test_table_informative_for_correlated_cell_only():
     rng = np.random.default_rng(11)
     spec = GridSpec(2, 1)

@@ -989,6 +989,23 @@ def test_ingest_invalid_json_in_a_later_chunk_names_its_line(tmp_path, monkeypat
     assert sorted(p.name for p in out.iterdir()) == ["manifest_ingest.json"]
 
 
+def test_ingest_holds_one_chunk_not_the_file(tmp_path, monkeypatch):
+    """Ingest reads its annotations one line at a time, so its traced peak
+    stays below the file's size (the digests' 1 MiB read buffers included).
+    Reading the whole file first held its bytes, their decoded text and the
+    list of lines: more than three times it."""
+    monkeypatch.setattr("occlusense.cli.INGEST_CHUNK", 64)
+    records = [annotation(frame=i, clip_id=f"{i:02000d}") for i in range(2_000)]  # 2 kB lines
+    src = write_jsonl(tmp_path / "ann.jsonl", records)
+    tracemalloc.start()
+    try:
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < src.stat().st_size
+
+
 # ---------------------------------------------------------------------------
 # landmark train/eval
 # ---------------------------------------------------------------------------
@@ -1137,7 +1154,8 @@ def test_bad_landmark_record_exits_2_naming_its_line(tmp_path, command, defect):
     if command == "eval":
         argv += ["--models", str(models)]
     assert main(argv) == 2
-    assert f"{ds}:3: bad landmark record" in manifest(out, command)["error"]
+    reason = "invalid JSON" if defect == "malformed_json" else "bad landmark record"
+    assert f"{ds}:3: {reason}" in manifest(out, command)["error"]
 
 
 def undecodable(line: str, defect: str, int_field: str) -> bytes:

@@ -14,7 +14,14 @@ from occlusense.grid import (
     new_uniform_grid,
     threshold,
 )
-from oracles import enumeration_fused_posterior, enumeration_prior_check, random_likelihood_table
+from oracles import (
+    cell_center,
+    cell_index,
+    col_row,
+    enumeration_fused_posterior,
+    enumeration_prior_check,
+    random_likelihood_table,
+)
 
 probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -33,14 +40,18 @@ def test_spec_rejects_degenerate_dimensions():
 
 
 def test_spec_index_round_trip():
-    spec = GridSpec(6, 7)
+    spec = GridSpec(6, 7, 0.5, (3.0, -1.0))
     seen = set()
     for row in range(7):
         for col in range(6):
-            i = spec.index(col, row)
-            assert spec.col_row(i) == (col, row)
+            i = cell_index(spec, col, row)
+            assert col_row(spec, i) == (col, row)
             seen.add(i)
     assert seen == set(range(42))
+    # The program's vectorised layout agrees with the one-cell oracle.
+    coords = [col_row(spec, i) for i in range(spec.n_cells)]
+    assert spec.cell_coords().tolist() == [list(c) for c in coords]
+    assert spec.cell_centers().tolist() == [list(cell_center(spec, *c)) for c in coords]
 
 
 def test_layout_matches_ignores_origin():

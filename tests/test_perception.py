@@ -13,7 +13,15 @@ from occlusense.perception import (
     standard_inverse_update,
     visibility_mask,
 )
-from oracles import dense_resampled_scan, full_sweep_scan, random_occlusion_scene, rule_visibility_mask
+from oracles import (
+    cell_center,
+    col_row,
+    dense_resampled_scan,
+    full_sweep_scan,
+    obstacle_corners,
+    random_occlusion_scene,
+    rule_visibility_mask,
+)
 
 ORIGIN = (0.0, 0.0)
 
@@ -29,17 +37,17 @@ def unit_square(x, y, half=0.5):
 def test_obstacle_validation_and_corners():
     with pytest.raises(ValueError):
         Obstacle(center=(0, 0), half_extents=(0.0, 1.0))
-    corners = unit_square(5.0, 0.0).corners()
+    corners = obstacle_corners(unit_square(5.0, 0.0))
     want = {(5.5, 0.5), (4.5, 0.5), (4.5, -0.5), (5.5, -0.5)}
     assert {(round(x, 9), round(y, 9)) for x, y in corners} == want
 
 
 def test_stacked_corners_are_each_frames_corners():
     rect = Obstacle(center=(np.array([1.0, -2.0, 3.5]), 0.5), half_extents=(2.0, 0.75))
-    stacked = rect.corners()
+    stacked = obstacle_corners(rect)
     assert stacked.shape == (3, 4, 2)
     for i, x in enumerate(rect.center[0]):
-        assert np.array_equal(stacked[i], Obstacle((x, 0.5), rect.half_extents).corners())
+        assert np.array_equal(stacked[i], obstacle_corners(Obstacle((x, 0.5), rect.half_extents)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +123,7 @@ def sweep_cases(draw):
             cx = np.where(gone & nan_x, np.nan, cx) if n_frames else (math.nan if gone[0] and nan_x else cx)
             cy = np.where(gone & nan_y, np.nan, cy) if n_frames else (math.nan if gone[0] and nan_y else cy)
         rect = Obstacle((cx, cy), half)
-        corners = rect.corners()
+        corners = obstacle_corners(rect)
         k = draw(st.integers(0, 3))
         if placement == "inside":
             ex, ey = (corners[..., k, 0] + cx) / 2.0, (corners[..., k, 1] + cy) / 2.0
@@ -237,7 +245,7 @@ def test_nearest_beam_matches_argmin_over_bearings(n):
         spec = GridSpec(6, 7, 1.0, (ex + rng.uniform(-12, 12), ey + rng.uniform(-12, 12)), "world")
         checked = 0
         for i in range(spec.n_cells):
-            cx, cy = spec.cell_center(*spec.col_row(i))
+            cx, cy = cell_center(spec, *col_row(spec, i))
             if math.hypot(cx - ex, cy - ey) < 1.0:
                 continue
             theta = math.atan2(cy - ey, cx - ex) % (2.0 * math.pi)

@@ -22,6 +22,7 @@ from occlusense.simulator import (
     _run_lockstep,
     _speed_squared,
 )
+from oracles import cell_center, cell_index
 
 QUIET = ScenarioConfig(accel_noise_sigma=0.0)
 
@@ -374,9 +375,9 @@ def test_anchor_geometry():
     template = GridSpec(6, 7, 1.0, frame="occluder")
     spec = anchored_spec(template, front_x=0.0, center_y=0.0)
     # the cell straight ahead of the bumper: row 6 is nearest, column 2 centered
-    assert spec.cell_center(2, 6) == (0.5, 0.0)
-    assert spec.cell_center(2, 0) == (6.5, 0.0)
-    assert spec.cell_center(0, 6) == (0.5, 2.0)
+    assert cell_center(spec, 2, 6) == (0.5, 0.0)
+    assert cell_center(spec, 2, 0) == (6.5, 0.0)
+    assert cell_center(spec, 0, 6) == (0.5, 2.0)
 
 
 def test_anchored_spec_at_frames():
@@ -403,7 +404,7 @@ def test_truth_single_cell():
     log = stand_log()
     truth = ground_truth_grid(log, frame_of(log, 2.0), spec)
     want = np.zeros(9, dtype=np.int64)
-    want[spec.index(1, 1)] = 1  # center (0, -2)
+    want[cell_index(spec, 1, 1)] = 1  # center (0, -2)
     assert np.array_equal(truth.cells, want)
 
 
@@ -412,8 +413,8 @@ def test_truth_straddles_two_cells():
     log = stand_log()
     truth = ground_truth_grid(log, frame_of(log, 2.0), spec)
     want = np.zeros(9, dtype=np.int64)
-    want[spec.index(0, 1)] = 1  # centers (0, -1.5) and (0, -2.5)
-    want[spec.index(1, 1)] = 1
+    want[cell_index(spec, 0, 1)] = 1  # centers (0, -1.5) and (0, -2.5)
+    want[cell_index(spec, 1, 1)] = 1
     assert np.array_equal(truth.cells, want)
 
 
@@ -529,6 +530,18 @@ def test_read_rejects_dataset_cut_inside_an_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 2)
     path.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]))
     with pytest.raises(DataError, match=":3: invalid JSON"):
+        read_episodes(str(path))
+
+
+def test_read_skips_blank_lines_but_not_a_lost_episode(tmp_path):
+    path, lines = write_dataset(tmp_path, 3)
+    want = read_episodes(str(path))
+    path.write_text("\n \n".join(lines) + "\n\t\r\n")
+    got = read_episodes(str(path))
+    assert [log.scenario for log in got] == [log.scenario for log in want]
+    assert all(np.array_equal(a.occ_x, b.occ_x) for a, b in zip(got, want))
+    path.write_text("\n".join([lines[0], lines[1], "", lines[3]]) + "\n")  # episode 1 blanked
+    with pytest.raises(DataError, match="index 2 where 1 was expected"):
         read_episodes(str(path))
 
 
