@@ -192,7 +192,6 @@ _KEYS = {
     "logit.max_iters": ("logit_max_iters", _COUNT),
     "region.step": ("region_step", _FLOAT),
 }
-_SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _CAMERA_KEYS = {"fx", "fy", "cx", "cy", "height_m"}
 _REGION_KEYS = {"x_min", "x_max", "y_min", "y_max"}
 
@@ -202,20 +201,21 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
 
     Unknown keys and out-of-range values are rejected so mistakes fail
     loudly at load time instead of running with defaults or failing
-    partway through a command.
+    partway through a command.  :class:`ScenarioConfig` checks the count
+    of numbers in each ``sim.*`` value's comma list.
     """
     cfg = PipelineConfig()
-    scenario_kwargs: dict = {}
+    scenario = dataclasses.asdict(cfg.scenario)
     camera: dict[str, float] = {}
-    for key, value in mapping.items():
-        prefix, _, name = key.partition(".")
-        try:
+    try:
+        for key, value in mapping.items():
+            where = f"config key {key!r}"
+            prefix, _, name = key.partition(".")
             if key in _KEYS:
                 attr, parse = _KEYS[key]
                 setattr(cfg, attr, parse(value))
-            elif prefix == "sim" and name in _SCENARIO_KEYS:
-                tuple_valued = isinstance(getattr(cfg.scenario, name), tuple)
-                scenario_kwargs[name] = tuple(map(_FLOAT, _split(value))) if tuple_valued else _FLOAT(value)
+            elif prefix == "sim" and name in scenario:
+                scenario[name] = tuple(map(_FLOAT, _split(value)))
             elif prefix == "camera" and name in _CAMERA_KEYS:
                 camera[name] = _FLOAT(value)
             elif prefix == "region" and name in _REGION_KEYS:
@@ -224,22 +224,19 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
                 setattr(cfg, f"region_{axis}", (_FLOAT(value), hi) if end == "min" else (lo, _FLOAT(value)))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if scenario_kwargs:
-        base = dataclasses.asdict(cfg.scenario)
-        base.update(scenario_kwargs)
-        cfg.scenario = ScenarioConfig(**base)
-    missing = _CAMERA_KEYS - set(camera)
-    if camera and missing:
-        raise ConfigError(f"camera config incomplete: missing {sorted(missing)}")
-    try:  # the grid, region and camera constructors check their own values
+        # The constructors check their own values; the region is checked without its lattice.
+        where = "config"
+        cfg.scenario = ScenarioConfig(**scenario)
         cfg.grid_template()
-        cfg.region()
+        OccludedRegion.check_lattice(*cfg.region_x, *cfg.region_y, cfg.region_step)
         if camera:
+            if missing := _CAMERA_KEYS - set(camera):
+                raise ConfigError(f"camera config incomplete: missing {sorted(missing)}")
             cfg.camera_fallback = CameraModel(**camera)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+        if not math.isfinite(cfg.smoothing_alpha * cfg.k_actionlets):  # in the likelihoods' denominator
+            raise ValueError("train.alpha times train.k must be finite")
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return cfg
 
 
@@ -463,6 +460,9 @@ def _train_landmark(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str)
     manifest.counters["training_samples"] = n_samples
     if n_samples == 0:
         raise DataError("no visible training samples in the training clips")
+    # x^2 + y^2 summed over the rows bounds every entry of the logit fit's Newton system.
+    if not math.isfinite(np.sum(xy[train] ** 2)):
+        raise DataError("the training positions overflow the logit fit: a position in the dataset is out of range")
 
     model = fit_logit(xy[train], actions[train], reg=cfg.logit_reg, max_iters=cfg.logit_max_iters)
     with manifest.staged("logit.json") as (tmp,):

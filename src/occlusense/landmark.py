@@ -13,6 +13,7 @@ rather than any latent-variable scheme.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,14 +40,8 @@ class SemanticAction(Enum):
 
 N_ACTIONS = len(SemanticAction)
 
-ACTION_LABELS = {
-    SemanticAction.MOVING_FAST: "moving_fast",
-    SemanticAction.MOVING_SLOW: "moving_slow",
-    SemanticAction.ACCELERATING: "accelerating",
-    SemanticAction.DECELERATING: "decelerating",
-    SemanticAction.STOPPED: "stopped",
-}
-_LABEL_TO_ACTION = {v: k for k, v in ACTION_LABELS.items()}
+#: An action's label is its lowercase name.
+_LABEL_TO_ACTION = {action.name.lower(): action for action in SemanticAction}
 
 
 def action_from_label(label: str) -> SemanticAction:
@@ -288,11 +283,18 @@ class OccludedRegion:
     def n(self) -> int:
         return len(self.candidates)
 
+    @staticmethod
+    def check_lattice(x_min: float, x_max: float, y_min: float, y_max: float, step: float) -> None:
+        """The rule of :meth:`from_grid`'s arguments, checked without building the lattice."""
+        if not (step > 0.0 and x_min <= x_max and y_min <= y_max
+                and ((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0) <= sys.maxsize):
+            raise ValueError("invalid region bounds: the lattice needs a positive step, each minimum "
+                             f"at most its maximum, and a finite count of at most {sys.maxsize} candidates")
+
     @classmethod
     def from_grid(cls, x_min: float, x_max: float, y_min: float, y_max: float, step: float) -> "OccludedRegion":
         """Regular lattice of candidates covering a rectangle."""
-        if step <= 0.0 or x_max < x_min or y_max < y_min:
-            raise ValueError("invalid region bounds")
+        cls.check_lattice(x_min, x_max, y_min, y_max, step)
         xs = np.arange(x_min, x_max + step / 2, step)
         ys = np.arange(y_min, y_max + step / 2, step)
         gx, gy = np.meshgrid(xs, ys)

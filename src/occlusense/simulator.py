@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
@@ -53,13 +54,11 @@ BEHAVIOR_ORDER = (
 )
 
 
-def _require_finite(obj, names) -> None:
-    """Reject a NaN or an infinity in the named number (or tuple) fields: a
-    NaN passes every range comparison, and a dataset can carry either."""
-    for name in names:
-        value = getattr(obj, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+def _require_finite(name: str, *numbers) -> None:
+    """Reject a NaN or an infinity among a field's numbers: a NaN passes
+    every range comparison, and a dataset can carry either."""
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{name} must be finite, got {', '.join(map(repr, numbers))}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,10 @@ class ScenarioConfig:
     weights follow :data:`BEHAVIOR_ORDER`; by default the pedestrian is
     absent in half of all episodes and the three present behaviors split
     the rest evenly.
+
+    Each field takes a number, or a list (a dataset header) or a tuple (a
+    config file) of numbers: as many as its default has for a tuple field,
+    one for any other.  Tuple fields are stored as tuples.
     """
 
     d0_range: tuple[float, float] = (25.0, 45.0)
@@ -101,21 +104,29 @@ class ScenarioConfig:
     corridor_halfwidth: float = 1.75
 
     def __post_init__(self) -> None:
-        _require_finite(self, (f.name for f in fields(self)))
-        for name in ("d0_range", "v0_range", "ped_speed_range", "duration_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+            size = len(f.default) if isinstance(f.default, tuple) else 1
+            if len(numbers) != size:
+                raise ConfigError(f"{f.name} takes {size} number(s), got {value!r}")
+            _require_finite(f.name, *numbers)
+            if size == 2 and not (0.0 < numbers[0] <= numbers[1]):  # a range
+                raise ConfigError(f"{f.name} must satisfy 0 < low <= high, got {numbers}")
+            object.__setattr__(self, f.name, numbers if isinstance(f.default, tuple) else numbers[0])
         for name in ("occluder_length", "occluder_width", "ped_size"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         w = self.behavior_weights
-        if len(w) != len(BEHAVIOR_ORDER) or any(x < 0.0 for x in w):
-            raise ConfigError("behavior weights must be four nonnegative numbers")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError(f"behavior weights must sum to 1, got {sum(w)}")
+        if min(w) < 0.0 or abs(sum(w) - 1.0) > 1e-9:
+            raise ConfigError(f"behavior weights must be nonnegative and sum to 1, got {w}")
         if self.log_rate < MIN_LOG_RATE:  # the feature window's floor
             raise ConfigError(f"log rate must be at least {MIN_LOG_RATE} Hz")
+        # The longest episode's frame count (Scenario.n_frames) must fit an
+        # index: near 1e308 it overflows, and a finite 1.5e308 frames is no better.
+        if self.duration_range[1] * self.log_rate >= sys.maxsize:
+            raise ConfigError(f"the longest episode, {self.duration_range[1]} s at {self.log_rate} Hz, "
+                              "has too many frames")
         if self.a_max_brake <= 0.0 or self.a_max_accel <= 0.0:
             raise ConfigError("acceleration bounds must be positive")
         if not (0.0 < self.brake_trigger_decel <= self.a_max_brake):
@@ -147,7 +158,8 @@ class Scenario:
     config: ScenarioConfig
 
     def __post_init__(self) -> None:
-        _require_finite(self, (f.name for f in fields(self) if f.type == "float"))
+        for name in _SCENARIO_FLOATS:
+            _require_finite(name, getattr(self, name))
         if self.duration <= 0.0:  # as every duration ScenarioConfig samples
             raise ConfigError(f"duration must be positive, got {self.duration!r}")
 
@@ -162,16 +174,12 @@ class Scenario:
         return self.config.crosswalk_x - self.d0 - self.config.occluder_length / 2.0
 
     def to_dict(self) -> dict:
-        return {
-            "d0": self.d0,
-            "v0": self.v0,
-            "behavior": self.behavior.value,
-            "ped_speed": self.ped_speed,
-            "t_appear": self.t_appear,
-            "duration": self.duration,
-            "ego_speed": self.ego_speed,
-            "noise_seed": self.noise_seed,
-        }
+        return {**{name: getattr(self, name) for name in _SCENARIO_FLOATS},
+                "behavior": self.behavior.value, "noise_seed": self.noise_seed}
+
+
+#: :class:`Scenario`'s float fields, each stored under its own name.
+_SCENARIO_FLOATS = tuple(f.name for f in fields(Scenario) if f.type == "float")
 
 
 def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> Scenario:
@@ -461,8 +469,6 @@ def _dump(obj) -> str:
 #: The :class:`EpisodeLog` signals a dataset record holds, one array each.
 #: ``ped_y`` is null in frames without a pedestrian, and reads back as NaN.
 _COLUMNS = ("occ_x", "occ_speed", "ped_y")
-#: :class:`ScenarioConfig` fields that hold a tuple; JSON gives them as lists.
-_TUPLE_FIELDS = {f.name for f in fields(ScenarioConfig) if isinstance(f.default, tuple)}
 
 
 def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_episodes: int) -> int:
@@ -528,8 +534,7 @@ def _header_config(path: str, header) -> ScenarioConfig:
         raise DataError(f"{path}: dataset has schema_version {header.get('schema_version')!r}, "
                         f"but only {SCHEMA_VERSION} is read; re-run simulate to rewrite it")
     try:
-        return ScenarioConfig(**{key: tuple(value) if key in _TUPLE_FIELDS else value
-                                 for key, value in header["config"].items()})
+        return ScenarioConfig(**header["config"])
     except MALFORMED as exc:
         raise DataError(f"{path}: bad config in header: {exc}") from exc
 
@@ -539,18 +544,10 @@ def _episode_log(path: str, config: ScenarioConfig, index: int, rec) -> EpisodeL
         if rec["index"] != index:
             raise DataError(f"{path}: episode index {rec['index']!r} where {index} was expected")
         sc = rec["scenario"]
-        scenario = Scenario(
-            d0=float(sc["d0"]),
-            v0=float(sc["v0"]),
-            behavior=PedestrianBehavior(sc["behavior"]),
-            ped_speed=float(sc["ped_speed"]),
-            t_appear=float(sc["t_appear"]),
-            duration=float(sc["duration"]),
-            ego_speed=float(sc["ego_speed"]),
-            noise_seed=int(sc["noise_seed"]),
-            config=config,
-        )
-        n_frames = scenario.n_frames  # overflows for a duration or log rate near 1e308
+        scenario = Scenario(**{name: float(sc[name]) for name in _SCENARIO_FLOATS},
+                            behavior=PedestrianBehavior(sc["behavior"]),
+                            noise_seed=int(sc["noise_seed"]), config=config)
+        n_frames = scenario.n_frames  # overflows for a duration near 1e308
         columns = {name: np.array(rec[name], dtype=float) for name in _COLUMNS}
     except MALFORMED as exc:
         raise DataError(f"{path}: malformed episode {index}: {exc}") from exc

@@ -630,6 +630,20 @@ def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
     assert "bad config in header: crosswalk_x must be finite" in manifest(out, command)["error"]
 
 
+@pytest.mark.parametrize("rate", [1e308, 1e300])
+def test_header_with_too_many_frames_exits_2(grid_run, tmp_path, rate):
+    """An infinite or a finite but unallocatable longest episode."""
+    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["log_rate"] = rate
+    lines[0] = json.dumps(header)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset), "--seed", "11", "--out", str(out)]) == 2
+    assert "bad config in header: the longest episode" in manifest(out, "train")["error"]
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_non_positive_header_body_size_exits_2(grid_run, tmp_path, command):
     """A zero-sized pedestrian used to pass simulate and train, then fail
@@ -744,6 +758,18 @@ def test_eval_internal_error_exits_3(grid_run, tmp_path, monkeypatch):
     ("eval", "region.step = inf"),
     ("eval", "region.x_min = nan"),
     ("eval", "camera.fx = inf"),
+    # A scenario field's count of numbers, and an overflow in its checks.
+    ("train", "sim.d0_range = 30"),
+    ("train", "sim.duration_range = 30, 40, 50"),
+    ("train", "sim.v0_range = 1, 1e308"),
+    # The longest episode's frame count: infinite, or finite but past sys.maxsize.
+    ("train", "sim.duration_range = 1, 1e308"),
+    ("train", "sim.log_rate = 1e308"),
+    ("train", "sim.log_rate = 1e300"),
+    # The candidate lattice's count, checked without building it.
+    ("train", "region.step = 1e-9"),
+    ("eval", "region.x_min = -1e308"),
+    ("train", "train.alpha = 1e308"),
 ])
 def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
@@ -1064,6 +1090,17 @@ def test_train_landmark_reports_why_the_fit_stopped(tmp_path):
     # the diagnostics stay out of the model file
     assert set(json.loads((out / "logit.json").read_text())) == {
         "schema_version", "kind", "feature_map", "weights", "reg"}
+
+
+def test_train_landmark_on_huge_positions_exits_2(tmp_path):
+    """Finite positions whose squares overflow used to fail the fit's
+    Newton solve ("SVD did not converge") as an internal error."""
+    records = [landmark_record(clip, 1e306 * (i + 1), 2.0, action, False)
+               for clip in ("a", "b") for i, action in enumerate(["stopped", "moving_fast"])]
+    ds = write_jsonl(tmp_path / "huge.jsonl", records)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(ds), "--mode", "landmark", "--out", str(out)]) == 2
+    assert "a position in the dataset is out of range" in manifest(out, "train")["error"]
 
 
 def test_train_landmark_single_clip_exits_2(tmp_path):

@@ -306,6 +306,10 @@ def test_region_from_grid_lattice():
     assert region.locate([9.0, 9.0], tol=0.5) is None
     with pytest.raises(ValueError):
         OccludedRegion.from_grid(0.0, 2.0, 0.0, 2.0, 0.0)
+    # Too many candidates, refused before any array is allocated.
+    for bounds in ((-8.0, 8.0, 1.0, 25.0, 1e-9), (-1e308, 8.0, 1.0, 25.0, 2.0)):
+        with pytest.raises(ValueError, match="candidates"):
+            OccludedRegion.from_grid(*bounds)
     with pytest.raises(ValueError):
         OccludedRegion(np.zeros((0, 2)))
 

@@ -7,10 +7,13 @@ header and one episode record, the trained ``actionlets.json`` and
 the record short) and runs every command that reads it: each must exit 0,
 1 or 2.  Exit 3 is an internal error, so a malformed record that reaches it
 has escaped the readers' one rule (``occlusense.errors.MALFORMED``).
+A config file is an input too: one hostile value of one config key must
+exit 0, 1 or 2 in every command.
 """
 
 import contextlib
 import copy
+import dataclasses
 import importlib.util
 import io
 import json
@@ -23,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from occlusense.cli import main
+from occlusense.simulator import ScenarioConfig
 
 _spec = importlib.util.spec_from_file_location(
     "synthetic_annotations", Path(__file__).resolve().parent.parent / "perfbench" / "synthetic.py")
@@ -198,3 +202,67 @@ def test_one_spoilt_value_never_exits_3(inputs, name, data):
 def test_spoilt_values_that_exited_3_exit_2(inputs, name, where, value):
     codes = spoil(inputs, name, lambda d: dump(replaced(d, where, value)))
     assert set(codes) == {2}, codes
+
+
+# ---------------------------------------------------------------------------
+# One hostile config value.
+# ---------------------------------------------------------------------------
+
+#: Values tried on each kind of key.  Values that only ask for more memory
+#: (large grid sizes, episode counts, beam counts) are left out: a setting
+#: the machine cannot hold may still exit 3, with a manifest.
+FLOATS = ["0", "-1", "1e308", "-1e308", "1e-300", "nan", "inf", "1, 2", "1, 2, 3", "x", "1e400"]
+INTEGERS = ["0", "-1", "1.5", "x", "1, 2"]
+RANGES = ["30", "30, 40, 50", "1e308, 1e308", "1, 1e308", "-1, 1", "nan, 1"]
+INTEGER_KEYS = ["seed", "grid.width", "grid.height", "sim.n_episodes", "train.k", "train.stride",
+                "eval.stride", "eval.n_beams", "logit.max_iters"]
+FLOAT_KEYS = ["grid.resolution", "train.split", "train.alpha", "eval.threshold", "eval.max_range",
+              "logit.reg", "region.step", *(f"camera.{k}" for k in synthetic.CAMERA),
+              *(f"region.{k}" for k in ("x_min", "x_max", "y_min", "y_max"))]
+SIM_KEYS = {f"sim.{f.name}": isinstance(f.default, tuple) for f in dataclasses.fields(ScenarioConfig)}
+HOSTILE = [
+    *((key, value) for key in INTEGER_KEYS for value in INTEGERS),
+    ("seed", "1" * 23), ("logit.max_iters", "1" * 23),
+    *((key, value) for key in FLOAT_KEYS for value in FLOATS),
+    *((key, value) for key, ranged in SIM_KEYS.items() for value in (RANGES if ranged else FLOATS)),
+    ("region.step", "1e-9"),
+]
+
+
+def run_chains(case: Path, config: dict, annotations: Path) -> list[tuple]:
+    """``(mode, command, exit)`` of the grid commands (simulate, train, eval)
+    and the landmark commands (ingest, train, eval) under one config, each
+    chain run in order up to its first non-zero exit.  An exception that
+    leaves ``main`` is recorded in place of the exit code."""
+    case.mkdir()
+    (case / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    results = []
+    for mode, first in (("grid", ["simulate"]), ("landmark", ["ingest", str(annotations)])):
+        out = case / mode
+        common = ["--config", str(case / "run.cfg"), "--mode", mode, "--out", str(out)]
+        dataset = str(out / ("dataset.jsonl" if mode == "grid" else "landmark_dataset.jsonl"))
+        for argv in (first, ["train", "--dataset", dataset], ["eval", "--dataset", dataset, "--models", str(out)]):
+            try:
+                code = run([*argv, *common])
+            except Exception as exc:  # noqa: BLE001 - the failure being tested for
+                code = f"{type(exc).__name__}: {exc}"
+            results.append((mode, argv[0], code))
+            if code != 0:
+                break
+    shutil.rmtree(case)
+    return results
+
+
+def test_no_hostile_config_value_exits_3(tmp_path):
+    """Each case sets one key of a small valid config to one hostile value
+    and runs both chains of commands: every exit must be 0, 1 or 2, and no
+    exception may leave ``main``."""
+    base = {**GRID_KEYS, **{k: v for k, v in LANDMARK_KEYS.items() if k != "mode"},
+            "sim.n_episodes": "4", "eval.n_beams": "90", "logit.max_iters": "50"}
+    annotations = tmp_path / "ann.jsonl"
+    synthetic.write(annotations, synthetic.generate(4, n_clips=3, visible_per_clip=10, occluded_per_clip=5))
+    assert [code for *_, code in run_chains(tmp_path / "base", base, annotations)] == [0] * 6
+    failures = [(key, value, *result) for key, value in HOSTILE
+                for result in run_chains(tmp_path / "case", {**base, key: value}, annotations)
+                if result[-1] not in (0, 1, 2)]
+    assert failures == []
