@@ -404,7 +404,7 @@ def cmd_train(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> No
 
 def _train_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str) -> None:
     manifest.add_input(dataset)
-    logs = read_episodes(dataset)
+    logs = read_episodes(_json_lines(dataset, "dataset"), dataset)
     train_idx, eval_idx = _split_dataset(cfg, len(logs), "episodes")
     manifest.counters["episodes_total"] = len(logs)
     manifest.counters["episodes_train"] = len(train_idx)
@@ -482,7 +482,7 @@ def cmd_eval(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models
 
 def _eval_grid(cfg: PipelineConfig, manifest: ManifestWriter, dataset: str, models_dir: str | None) -> None:
     manifest.add_input(dataset)
-    logs = read_episodes(dataset)
+    logs = read_episodes(_json_lines(dataset, "dataset"), dataset)
     _, eval_idx = _split_dataset(cfg, len(logs), "episodes")
     manifest.counters["episodes_eval"] = len(eval_idx)
 
@@ -755,7 +755,8 @@ def _json_lines(path: str, what: str):
     """Yield ``(lineno, record)`` of each line of a JSON-lines file, read one
     line at a time; whitespace-only lines are skipped.  An unreadable file, or
     a line that is not UTF-8 or not JSON (named by its ``path:line``), is a
-    :class:`DataError`, by the rules of ``simulator.read_episodes``."""
+    :class:`DataError`.  Every line file the CLI reads comes through here:
+    the grid dataset, annotations and the landmark dataset."""
     try:
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):

@@ -135,7 +135,12 @@ class ScenarioConfig:
         # from the moment the earliest pedestrian can appear, must be able to
         # stop before the crosswalk.
         v_hi = self.v0_range[1]
-        needed = v_hi**2 / (2.0 * self.a_max_brake) + self.stop_margin + self.occluder_length / 2.0
+        try:
+            braking = v_hi**2 / (2.0 * self.a_max_brake)
+        except OverflowError:  # v_hi**2 is past the float range
+            raise ConfigError(f"v0_range's high end {v_hi!r} m/s overflows the stopping distance "
+                              f"at a_max_brake {self.a_max_brake!r} m/s^2") from None
+        needed = braking + self.stop_margin + self.occluder_length / 2.0
         if self.d0_range[0] <= needed:
             raise ConfigError(
                 f"infeasible scenario ranges: min d0 {self.d0_range[0]} m cannot absorb "
@@ -493,32 +498,23 @@ def write_episodes(path: str, episodes, config: ScenarioConfig, seed: int, n_epi
     return count
 
 
-def read_episodes(path: str) -> list[EpisodeLog]:
-    """Read a dataset written by :func:`write_episodes`.
+def read_episodes(records, path: str) -> list[EpisodeLog]:
+    """The episodes of a dataset written by :func:`write_episodes`, from its
+    ``(lineno, record)`` pairs (``cli._json_lines``); ``path`` names errors.
 
     A dataset must start with a schema-3 header and hold the header's
     ``n_episodes`` episodes, indexed 0 to n - 1 in order, each with the
     frame count its duration implies at the log rate in every column, so a
     file cut anywhere is rejected.  Every stored value and every scenario
-    float must be finite; only ``ped_y`` may be null.  Blank lines are skipped.
+    float must be finite; only ``ped_y`` may be null.
     """
     header = None
     logs: list[EpisodeLog] = []
-    try:
-        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    if (text := line.decode()).isspace():
-                        continue
-                    rec = json.loads(text)
-                except MALFORMED as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if header is None:
-                    header, config = rec, _header_config(path, rec)
-                else:
-                    logs.append(_episode_log(path, config, len(logs), rec))
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    for _, rec in records:
+        if header is None:
+            header, config = rec, _header_config(path, rec)
+        else:
+            logs.append(_episode_log(path, config, len(logs), rec))
     if header is None:
         raise DataError(f"{path}: empty dataset")
     if len(logs) != header.get("n_episodes"):

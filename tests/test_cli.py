@@ -348,8 +348,8 @@ def test_eval_frames_match_the_per_row_writer(grid_run, tmp_path, monkeypatch):
     read, anchor, score = cli.read_episodes, cli.anchored_spec_at, cli.score_pair
     logs, episodes, calls = [], [], []  # episodes: (index, frame times); calls: (episode, scores, scored)
 
-    def reading(path):
-        logs.extend(read(path))
+    def reading(records, path):
+        logs.extend(read(records, path))
         return logs
 
     def anchoring(template, log, frames):
@@ -612,13 +612,12 @@ def test_one_episode_dataset_exits_2(grid_run, tmp_path, command):
     assert sorted(p.name for p in out.iterdir()) == [f"manifest_{command}.json"]
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
-    """A NaN passes ScenarioConfig's range comparisons; the finite check
-    rejects it before it reaches k-means or the simulator's geometry."""
+def run_with_header_config(grid_run, tmp_path, command, **config):
+    """Run ``command`` on the grid run's dataset with these values put in
+    its header's config; returns the exit code and the manifest's error."""
     lines = (grid_run / "dataset.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
-    header["config"]["crosswalk_x"] = float("nan")
+    header["config"].update(config)
     lines[0] = json.dumps(header)
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("\n".join(lines) + "\n")
@@ -626,40 +625,46 @@ def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
     argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
     if command == "eval":
         argv += ["--models", str(grid_run)]
-    assert main(argv) == 2
-    assert "bad config in header: crosswalk_x must be finite" in manifest(out, command)["error"]
+    return main(argv), manifest(out, command)["error"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_header_config_exits_2(grid_run, tmp_path, command):
+    """A NaN passes ScenarioConfig's range comparisons; the finite check
+    rejects it before it reaches k-means or the simulator's geometry."""
+    code, error = run_with_header_config(grid_run, tmp_path, command, crosswalk_x=float("nan"))
+    assert code == 2
+    assert "bad config in header: crosswalk_x must be finite" in error
 
 
 @pytest.mark.parametrize("rate", [1e308, 1e300])
 def test_header_with_too_many_frames_exits_2(grid_run, tmp_path, rate):
     """An infinite or a finite but unallocatable longest episode."""
-    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    header["config"]["log_rate"] = rate
-    lines[0] = json.dumps(header)
-    dataset = tmp_path / "dataset.jsonl"
-    dataset.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert main(["train", "--dataset", str(dataset), "--seed", "11", "--out", str(out)]) == 2
-    assert "bad config in header: the longest episode" in manifest(out, "train")["error"]
+    code, error = run_with_header_config(grid_run, tmp_path, "train", log_rate=rate)
+    assert code == 2
+    assert "bad config in header: the longest episode" in error
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("config,message", [
+    # The feature window's floor: only the config's own check enforces it.
+    ({"log_rate": 15.0}, "log rate must be at least 20.0 Hz"),
+    ({"v0_range": [1.0, 1e308]}, "v0_range's high end 1e+308 m/s overflows the stopping distance "
+                                 "at a_max_brake 3.0"),
+], ids=["log_rate", "v0_range"])
+def test_header_config_refused_exits_2(grid_run, tmp_path, command, config, message):
+    code, error = run_with_header_config(grid_run, tmp_path, command, **config)
+    assert code == 2
+    assert f"bad config in header: {message}" in error
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_non_positive_header_body_size_exits_2(grid_run, tmp_path, command):
     """A zero-sized pedestrian used to pass simulate and train, then fail
     eval's raycast as an internal error (exit 3)."""
-    lines = (grid_run / "dataset.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    header["config"]["ped_size"] = 0.0
-    lines[0] = json.dumps(header)
-    dataset = tmp_path / "dataset.jsonl"
-    dataset.write_text("\n".join(lines) + "\n")
-    out = tmp_path / command
-    argv = [command, "--dataset", str(dataset), "--seed", "11", "--out", str(out)]
-    if command == "eval":
-        argv += ["--models", str(grid_run)]
-    assert main(argv) == 2
-    assert "bad config in header: ped_size must be positive" in manifest(out, command)["error"]
+    code, error = run_with_header_config(grid_run, tmp_path, command, ped_size=0.0)
+    assert code == 2
+    assert "bad config in header: ped_size must be positive" in error
 
 
 def test_non_positive_episode_duration_exits_2(grid_run, tmp_path):
@@ -780,6 +785,17 @@ def test_bad_config_values_exit_1_at_load(grid_run, tmp_path, command, line):
         argv += ["--models", str(grid_run)]
     assert main(argv) == 1
     assert not out.exists()  # rejected before any manifest or artifact is written
+
+
+def test_overflowing_v0_range_names_its_fields(grid_run, tmp_path, capsys):
+    """``v0_range``'s squared high end overflowed as an unnamed OverflowError."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.v0_range = 1, 1e308\n")
+    argv = ["train", "--dataset", str(grid_run / "dataset.jsonl"), "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert ("v0_range's high end 1e+308 m/s overflows the stopping distance at a_max_brake 3.0"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from occlusense.cli import _json_lines
 from occlusense.errors import ConfigError, DataError
 from occlusense.grid import GridSpec
 from occlusense.simulator import (
@@ -441,13 +442,18 @@ def test_truth_frame_bounds():
 # dataset serialization
 # ---------------------------------------------------------------------------
 
+def read_dataset(path):
+    """The episodes of a dataset file, through the CLI's line reader."""
+    return read_episodes(_json_lines(str(path), "dataset"), str(path))
+
+
 def test_jsonl_round_trip(tmp_path):
     cfg = ScenarioConfig()
     episodes = batch(4, seed=9, config=cfg)
     path = tmp_path / "episodes.jsonl"
     n = write_episodes(str(path), episodes, cfg, seed=9, n_episodes=4)
     assert n == 4
-    logs = read_episodes(str(path))
+    logs = read_dataset(path)
     assert logs[0].config == cfg
     assert len(logs) == 4
     for (_, orig), loaded in zip(episodes, logs):
@@ -462,15 +468,15 @@ def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("")
     with pytest.raises(DataError):
-        read_episodes(str(path))
+        read_dataset(path)
     path.write_text('{"type": "frame"}\n')
     with pytest.raises(DataError):
-        read_episodes(str(path))
+        read_dataset(path)
     path.write_text("not json\n")
     with pytest.raises(DataError):
-        read_episodes(str(path))
+        read_dataset(path)
     with pytest.raises(DataError):
-        read_episodes(str(tmp_path / "missing.jsonl"))
+        read_dataset(tmp_path / "missing.jsonl")
 
 
 def test_read_rejects_schema_1_dataset(tmp_path):
@@ -494,7 +500,7 @@ def test_read_rejects_schema_1_dataset(tmp_path):
         })
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     with pytest.raises(DataError, match="schema_version 1"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def test_read_rejects_schema_2_dataset(tmp_path):
@@ -508,7 +514,7 @@ def test_read_rejects_schema_2_dataset(tmp_path):
                   occ_accel=log.occ_accel.tolist(), ped_speed=[0.0] * log.n_frames)
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(DataError, match="schema_version 2, but only 3 is read; re-run simulate"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def write_dataset(tmp_path, n):
@@ -523,33 +529,33 @@ def test_read_rejects_dataset_cut_after_a_whole_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 3)
     path.write_text("\n".join(lines[:3]) + "\n")
     with pytest.raises(DataError, match="header declares 3"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def test_read_rejects_dataset_cut_inside_an_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 2)
     path.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]))
     with pytest.raises(DataError, match=":3: invalid JSON"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def test_read_skips_blank_lines_but_not_a_lost_episode(tmp_path):
     path, lines = write_dataset(tmp_path, 3)
-    want = read_episodes(str(path))
+    want = read_dataset(path)
     path.write_text("\n \n".join(lines) + "\n\t\r\n")
-    got = read_episodes(str(path))
+    got = read_dataset(path)
     assert [log.scenario for log in got] == [log.scenario for log in want]
     assert all(np.array_equal(a.occ_x, b.occ_x) for a, b in zip(got, want))
     path.write_text("\n".join([lines[0], lines[1], "", lines[3]]) + "\n")  # episode 1 blanked
     with pytest.raises(DataError, match="index 2 where 1 was expected"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def test_read_rejects_episodes_out_of_order(tmp_path):
     path, lines = write_dataset(tmp_path, 2)
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(DataError, match="index 1"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 def test_read_rejects_episode_without_frames(tmp_path):
@@ -559,7 +565,7 @@ def test_read_rejects_episode_without_frames(tmp_path):
     path.write_text(header + "\n" + json.dumps(record) + "\n")
     n = len(record["occ_x"])
     with pytest.raises(DataError, match=f"{n - 1} occ_speed values; its duration needs {n} frames"):
-        read_episodes(str(path))
+        read_dataset(path)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -595,4 +601,4 @@ def test_read_rejects_null_outside_ped_y(tmp_path, column, value, error):
         record[column][5] = value
     path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
     with pytest.raises(DataError, match=error):
-        read_episodes(str(path))
+        read_dataset(path)
